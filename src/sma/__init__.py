@@ -27,7 +27,6 @@ from .automorphism import (
     permutation_similarity,
     spec_from_json,
     spec_to_json,
-    verify_automorphism,
 )
 from .blockform import (
     BlockForm,
@@ -62,10 +61,17 @@ from .errors import (
     SizeObstruction,
     SmaError,
 )
-from .factor import conjugate_by_block_form, factor_automorphism, factor_semisimple
+from .factor import (
+    VerifyReport,
+    conjugate_by_block_form,
+    factor_automorphism,
+    factor_semisimple,
+    verify_automorphism,
+)
 from .oracle import (
     brute_cocycle_rank,
     brute_relation_automorphisms,
+    brute_verify,
     enumerate_quasiorders,
     random_factored_automorphism,
 )

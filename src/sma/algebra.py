@@ -9,7 +9,6 @@ is used anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -19,17 +18,36 @@ from .relation import Relation
 
 Scalar = Union[Fraction, int]
 Grid = tuple[tuple[Scalar, ...], ...]
+SparseRows = tuple[tuple[tuple[int, Scalar], ...], ...]
+
+
+# Largest characteristic accepted, exclusive.  Miller-Rabin with the first 12
+# primes as bases has no strong pseudoprime below 3.18e23 (Sorenson and
+# Webster, Math. Comp. 2017), so the test below is exact for every p under it.
+MAX_CHAR = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for every p < MAX_CHAR."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -41,7 +59,11 @@ class Field:
     char: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.char is not None and not _is_prime(self.char):
+        if self.char is None:
+            return
+        if self.char >= MAX_CHAR:
+            raise ValueError(f"characteristic {self.char} is not below 2^64")
+        if not _is_prime(self.char):
             raise ValueError(f"{self.char} is not prime")
 
     @property
@@ -65,7 +87,7 @@ class Field:
         if self.char is None:
             try:
                 return Fraction(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"not a rational value: {value!r}") from exc
         try:
             return int(value) % self.char
@@ -116,7 +138,7 @@ class Field:
         if isinstance(obj, dict) and set(obj) == {"GF"}:
             try:
                 return cls(int(obj["GF"]))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc)) from exc
         raise ParseError(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
 
@@ -164,10 +186,17 @@ def grid_scale(field: Field, c: Scalar, a: Grid) -> Grid:
     return tuple(tuple(field.reduce(c * x) for x in row) for row in a)
 
 
-def grid_mul(field: Field, a: Grid, b: Grid) -> Grid:
-    """Matrix product, skipping zero entries (patterns here are typically sparse)."""
+def sparse_rows(b: Grid) -> SparseRows:
+    """Each row's nonzero entries as (column, value) pairs: the right operand of sparse_mul."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v != 0) for row in b)
+
+
+def sparse_mul(field: Field, a: Grid, b_rows: SparseRows) -> Grid:
+    """Matrix product a * b, with b given by its sparse rows; zero entries of a are skipped.
+
+    Callers that multiply by the same right operand many times build its
+    sparse rows once."""
     n = len(a)
-    b_nonzero = [tuple((j, v) for j, v in enumerate(row) if v != 0) for row in b]
     zero = field.zero()
     out = []
     for row in a:
@@ -175,10 +204,15 @@ def grid_mul(field: Field, a: Grid, b: Grid) -> Grid:
         for k, av in enumerate(row):
             if av == 0:
                 continue
-            for j, bv in b_nonzero[k]:
+            for j, bv in b_rows[k]:
                 acc[j] = acc[j] + av * bv
         out.append(tuple(field.reduce(x) for x in acc))
     return tuple(out)
+
+
+def grid_mul(field: Field, a: Grid, b: Grid) -> Grid:
+    """Matrix product, skipping zero entries (patterns here are typically sparse)."""
+    return sparse_mul(field, a, sparse_rows(b))
 
 
 def grid_is_zero(a: Grid) -> bool:

@@ -3,7 +3,8 @@
 An automorphism can be given in factored form (conjugator, scaling function,
 relation permutation, applied right to left) or by its images on the matrix
 units.  Basis images are the universal interchange form; the factored form
-converts on demand and caches nothing.  Conventions, pinned by the tests:
+converts on demand and caches only the conjugator's inverse, which its
+construction checks exists.  Conventions, pinned by the tests:
 conjugation is B -> A^-1 B A, and a permutation similarity acts entrywise as
 B -> (B[t(i)][t(j)]).
 """
@@ -20,13 +21,10 @@ from .algebra import (
     Grid,
     StructMatrix,
     grid_add,
-    grid_is_zero,
     grid_mul,
     grid_scale,
-    identity_grid,
     invert_grid,
     is_member,
-    matrix_rank,
     zero_grid,
 )
 from .blockform import Permutation
@@ -56,11 +54,15 @@ def is_relation_automorphism(rel: Relation, tau: Permutation) -> bool:
     return True
 
 
-def _enumeration_bound(explicit) -> int:
-    if explicit is not None:
-        return int(explicit)
+def size_bound(default: int) -> int:
+    """The largest n an exhaustive search accepts: SMA_MAX_N when set, else `default`."""
     env = os.environ.get("SMA_MAX_N")
-    return int(env) if env else DEFAULT_ENUMERATION_BOUND
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"SMA_MAX_N must be an integer, got {env!r}") from None
 
 
 def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permutation, ...]:
@@ -71,7 +73,9 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
     the already-placed elements.
     """
     n = rel.n
-    if n > _enumeration_bound(bound):
+    if bound is None:
+        bound = size_bound(DEFAULT_ENUMERATION_BOUND)
+    if n > int(bound):
         raise BoundExceeded(f"n = {n} exceeds the enumeration bound (set SMA_MAX_N to raise it)")
     part = equivalence_classes(rel)
     outdeg = {i: 0 for i in range(1, n + 1)}
@@ -140,6 +144,14 @@ class FactoredAutomorphism:
         report = check_transitive(self.scaling)
         if not report.ok:
             raise NotTransitive(str(report.violations[0]))
+        self._conjugator_inverse  # raises Singular for a conjugator with no inverse
+
+    @cached_property
+    def _conjugator_inverse(self) -> Grid:
+        try:
+            return invert_grid(self.field, self.conjugator.rows)
+        except Singular:
+            raise Singular("conjugator A is singular") from None
 
     @property
     def relation(self) -> Relation:
@@ -150,22 +162,22 @@ class FactoredAutomorphism:
         return self.conjugator.field
 
     def images(self) -> dict[tuple[int, int], Grid]:
-        """Image of each matrix unit, computed in one pass (nothing is cached)."""
+        """Image of each matrix unit, computed in one pass (only A^-1 is cached)."""
         fld, rel = self.field, self.relation
         a = self.conjugator.rows
-        a_inv = invert_grid(fld, a)
+        a_inv = self._conjugator_inverse
         tau_inv = self.permutation.inverse()
-        n = rel.n
+        zero_row = (fld.zero(),) * rel.n
         out = {}
         for i, j in rel.sorted_pairs():
             bi, bj = tau_inv(i), tau_inv(j)
             c = self.scaling(bi, bj)
             # A^-1 E^{bi,bj} A is the outer product of A^-1's column bi with A's row bj.
-            grid = tuple(
-                tuple(fld.reduce(c * a_inv[r][bi - 1] * a[bj - 1][s]) for s in range(n))
-                for r in range(n)
+            a_row = a[bj - 1]
+            column = (fld.reduce(c * a_inv_row[bi - 1]) for a_inv_row in a_inv)
+            out[(i, j)] = tuple(
+                tuple(fld.reduce(x * v) for v in a_row) if x != 0 else zero_row for x in column
             )
-            out[(i, j)] = grid
         return out
 
     def apply_grid(self, grid: Grid) -> Grid:
@@ -179,9 +191,8 @@ class FactoredAutomorphism:
             v = moved[i - 1][j - 1]
             if v != 0:
                 moved[i - 1][j - 1] = fld.reduce(v * self.scaling(i, j))
-        a = self.conjugator.rows
-        a_inv = invert_grid(fld, a)
-        return grid_mul(fld, grid_mul(fld, a_inv, tuple(map(tuple, moved))), a)
+        moved = grid_mul(fld, self._conjugator_inverse, tuple(map(tuple, moved)))
+        return grid_mul(fld, moved, self.conjugator.rows)
 
     def apply(self, m: StructMatrix) -> StructMatrix:
         _check_applicable(self, m)
@@ -284,7 +295,6 @@ def permutation_similarity(rel: Relation, tau: Permutation, field: Field) -> Fac
 
 def inner_automorphism(a: StructMatrix) -> FactoredAutomorphism:
     """Conjugation B -> A^-1 B A by an invertible in-pattern matrix."""
-    invert_grid(a.field, a.rows)  # raises Singular now rather than at first use
     return FactoredAutomorphism(
         a, TransitiveFn.ones(a.pattern, a.field), Permutation.identity_perm(a.n)
     )
@@ -303,12 +313,8 @@ def compose(outer: AutomorphismSpec, inner: AutomorphismSpec) -> BasisImageAutom
     if outer.relation != inner.relation or outer.field != inner.field:
         raise Mismatch("composition requires the same relation and field")
     inner_images = inner.images()
-    images = {p: _apply_to_grid(outer, img) for p, img in inner_images.items()}
+    images = {p: outer.apply_grid(img) for p, img in inner_images.items()}
     return BasisImageAutomorphism.from_map(outer.relation, outer.field, images)
-
-
-def _apply_to_grid(phi: AutomorphismSpec, grid: Grid) -> Grid:
-    return phi.apply_grid(grid)
 
 
 def apply(phi: AutomorphismSpec, m: StructMatrix) -> StructMatrix:
@@ -321,55 +327,6 @@ def equal_as_maps(a: AutomorphismSpec, b: AutomorphismSpec) -> bool:
     if a.relation != b.relation or a.field != b.field:
         return False
     return a.images() == b.images()
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    check: str | None = None   # which of pattern/multiplicativity/unit/bijectivity failed
-    detail: str | None = None
-
-
-def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
-    """Check the defining properties on the basis: in-pattern images, the
-    unit-product rule (delta on the middle indices), preservation of the
-    identity, and bijectivity of the induced linear map.  Reports the first
-    failing identity."""
-    rel, fld = phi.relation, phi.field
-    images = phi.images()
-    pairs = rel.sorted_pairs()
-
-    for p in pairs:
-        if not is_member(rel, images[p]):
-            return VerifyReport(False, "pattern", f"image of unit {p} leaves the pattern")
-
-    n = rel.n
-    zero = zero_grid(fld, n)
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            prod = grid_mul(fld, images[(i, j)], images[(k, l)])
-            expected = images[(i, l)] if j == k else zero
-            if prod != expected:
-                return VerifyReport(
-                    False,
-                    "multiplicativity",
-                    f"image({i},{j}) * image({k},{l}) != "
-                    + (f"image({i},{l})" if j == k else "0"),
-                )
-
-    total = zero
-    for i in range(1, n + 1):
-        total = grid_add(fld, total, images[(i, i)])
-    if total != identity_grid(fld, n):
-        return VerifyReport(False, "unit", "images of the diagonal units do not sum to the identity")
-
-    coords = []
-    for out_pair in pairs:
-        r, c = out_pair
-        coords.append([images[in_pair][r - 1][c - 1] for in_pair in pairs])
-    if matrix_rank(fld, coords) != len(pairs):
-        return VerifyReport(False, "bijectivity", "induced linear map is not bijective")
-    return VerifyReport(True)
 
 
 # ---------------------------------------------------------------------------

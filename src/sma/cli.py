@@ -20,7 +20,6 @@ from .automorphism import (
     is_relation_automorphism,
     spec_from_json,
     spec_to_json,
-    verify_automorphism,
 )
 from .blockform import (
     Permutation,
@@ -34,7 +33,7 @@ from .blockform import (
     render_pattern_grid,
 )
 from .errors import ParseError, SmaError
-from .factor import conjugate_by_block_form, factor_automorphism
+from .factor import conjugate_by_block_form, factor_automorphism, verify_automorphism
 from .oracle import (
     brute_cocycle_rank,
     brute_relation_automorphisms,
@@ -326,6 +325,16 @@ def _cmd_oracle(args) -> int:
     raise ParseError(f"unknown oracle subcommand {args.oracle_cmd!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _add_relation_arg(sub) -> None:
     sub.add_argument("relation", help="relation file (JSON or plain text)")
     sub.add_argument(
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = oracle_subs.add_parser("rank", help="cocycle rank from the raw constraint system")
     _add_relation_arg(osub)
     osub = oracle_subs.add_parser("quasiorders", help="count quasi-orders on n elements")
-    osub.add_argument("n", type=int)
+    osub.add_argument("n", type=_positive_int)
     osub = oracle_subs.add_parser("randphi", help="seeded random factored automorphism")
     _add_relation_arg(osub)
     osub.add_argument("--field", default="Q", help='"Q" or {"GF": p}')

@@ -23,18 +23,33 @@ similarity.  This module computes such a splitting:
 
 Every choice is deterministic, so factoring the same map twice returns
 identical factors.
+
+The same splitting certifies automorphisms.  The three factors are
+automorphisms by construction (an invertible conjugator, a transitive scaling,
+a relation-preserving permutation), so a map that equals their recomposition
+on every basis image is one too.  verify_automorphism checks a map that way
+and multiplies pairs of basis images only to name the identity a map breaks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import (
+    Field,
     Grid,
+    SparseRows,
     StructMatrix,
     diagonal_matrix,
     grid_add,
     grid_mul,
+    identity_grid,
     invert_grid,
+    is_member,
+    matrix_rank,
     nullspace,
+    sparse_mul,
+    sparse_rows,
     zero_grid,
 )
 from .automorphism import (
@@ -42,9 +57,8 @@ from .automorphism import (
     BasisImageAutomorphism,
     FactoredAutomorphism,
     is_relation_automorphism,
-    verify_automorphism,
 )
-from .blockform import BlockForm, Permutation, is_block_form, is_semisimple
+from .blockform import BlockForm, Permutation, build_block_form, is_block_form, is_semisimple
 from .errors import (
     NonScalarBlockAction,
     NotAutomorphism,
@@ -52,8 +66,9 @@ from .errors import (
     NotSemisimple,
     SizeObstruction,
     Singular,
+    SmaError,
 )
-from .relation import equivalence_classes
+from .relation import Relation, equivalence_classes
 from .transitive import TransitiveFn, canonicalize, check_transitive
 
 
@@ -79,19 +94,27 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
     The relation must already be in block upper triangular form; callers with
     another layout first normalize with build_block_form and conjugate across
     (see conjugate_by_block_form).  `assume_verified` skips the automorphism
-    check for callers that have already run it on the same object.
+    check for callers that have already run it on the same object.  Without
+    it, the check is verify_automorphism's, and the factors it certified are
+    returned as they are.
     """
-    rel, fld = phi.relation, phi.field
-    if not is_block_form(rel):
+    if not is_block_form(phi.relation):
         raise NotBlockForm(
             "relation is not in block upper triangular form; normalize it first"
         )
     if not assume_verified:
-        report = verify_automorphism(phi)
+        report, certified = _verify(phi)
         if not report.ok:
             raise NotAutomorphism(f"{report.check}: {report.detail}")
+        if certified is not None:
+            return certified
+    return _factor_steps(phi.relation, phi.field, phi.images())
 
-    images = phi.images()
+
+def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
+    """Steps 1-5 on a map over a block-form relation, given by its basis images.
+    On a map that is not an automorphism they raise a SmaError or return
+    factors that do not recompose to it."""
     part = equivalence_classes(rel)
     spans = _class_spans(part.classes)
     n = rel.n
@@ -226,6 +249,103 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
     d = diagonal_matrix(fld, rel, [fld.inv(s) for s in scaling_vec.values])
     a_final = StructMatrix(fld, rel, grid_mul(fld, d.rows, w))
     return FactoredAutomorphism(a_final, g_canonical, tau)
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    ok: bool
+    check: str | None = None   # which of pattern/multiplicativity/unit/bijectivity failed
+    detail: str | None = None
+
+
+# Rows (left operands) of the product scan run before the certificate is
+# tried.  A broken map usually breaks an identity within the first few rows,
+# and that scan prefix costs less than a factorization that fails.
+SCAN_PREFIX_ROWS = 8
+
+
+def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
+    """Check that phi is an algebra automorphism, and name the first failing
+    identity when it is not.
+
+    The checks, in the order a failure is reported: in-pattern images, the
+    unit-product rule (delta on the middle indices) for every pair of units,
+    preservation of the identity, and bijectivity of the induced linear map.
+    After the images' pattern and the first SCAN_PREFIX_ROWS rows of products,
+    a factorization whose recomposition equals phi certifies it; only when
+    that fails does the scan run to the end.
+    """
+    return _verify(phi)[0]
+
+
+def _verify(phi: AutomorphismSpec) -> tuple[VerifyReport, FactoredAutomorphism | None]:
+    """verify_automorphism's report, with the certified factors when the
+    certificate succeeded (over the block form when phi's relation is not in one)."""
+    rel, fld = phi.relation, phi.field
+    images = phi.images()
+    pairs = rel.sorted_pairs()
+
+    for p in pairs:
+        if not is_member(rel, images[p]):
+            return VerifyReport(False, "pattern", f"image of unit {p} leaves the pattern"), None
+
+    n = rel.n
+    zero = zero_grid(fld, n)
+    right: dict[tuple[int, int], SparseRows] = {}  # built on first use: most broken maps fail early
+
+    def scan(rows) -> VerifyReport | None:
+        """The first failing identity image(i,j) * image(k,l), (i,j) in rows."""
+        for (i, j) in rows:
+            left = images[(i, j)]
+            for (k, l) in pairs:
+                b = right.get((k, l))
+                if b is None:
+                    b = right[(k, l)] = sparse_rows(images[(k, l)])
+                expected = images[(i, l)] if j == k else zero
+                if sparse_mul(fld, left, b) != expected:
+                    return VerifyReport(
+                        False,
+                        "multiplicativity",
+                        f"image({i},{j}) * image({k},{l}) != "
+                        + (f"image({i},{l})" if j == k else "0"),
+                    )
+        return None
+
+    failure = scan(pairs[:SCAN_PREFIX_ROWS])
+    if failure is not None:
+        return failure, None
+    if len(pairs) > SCAN_PREFIX_ROWS:
+        certified = _certificate(phi, images)
+        if certified is not None:
+            return VerifyReport(True), certified
+        failure = scan(pairs[SCAN_PREFIX_ROWS:])
+        if failure is not None:
+            return failure, None
+
+    total = zero
+    for i in range(1, n + 1):
+        total = grid_add(fld, total, images[(i, i)])
+    if total != identity_grid(fld, n):
+        return VerifyReport(False, "unit", "images of the diagonal units do not sum to the identity"), None
+
+    coords = [[images[in_pair][r - 1][c - 1] for in_pair in pairs] for (r, c) in pairs]
+    if matrix_rank(fld, coords) != len(pairs):
+        return VerifyReport(False, "bijectivity", "induced linear map is not bijective"), None
+    return VerifyReport(True), None
+
+
+def _certificate(phi: AutomorphismSpec, images) -> FactoredAutomorphism | None:
+    """Factors whose recomposition equals phi (moved to block form if needed),
+    or None when factoring fails or recomposes to another map."""
+    try:
+        target = phi
+        if not is_block_form(phi.relation):
+            target = conjugate_by_block_form(phi, build_block_form(phi.relation))
+            images = target.images()
+        factored = _factor_steps(target.relation, target.field, images)
+    except SmaError:
+        return None
+    return factored if factored.images() == images else None
 
 
 def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:

@@ -1,24 +1,40 @@
 """Brute-force cross-checks and seeded random generators.
 
 These deliberately share no machinery with the main implementations beyond
-the Relation type and scalar arithmetic: automorphisms are found by filtering
-every permutation, cocycle ranks come from the raw unreduced constraint
-system with a local elimination routine, and quasi-orders are enumerated by
-filtering every off-diagonal pair subset.
+the Relation type and scalar and matrix arithmetic: automorphisms are found by
+filtering every permutation, cocycle ranks come from the raw unreduced
+constraint system with a local elimination routine, quasi-orders are
+enumerated by filtering every off-diagonal pair subset, and maps are verified
+by multiplying every pair of basis images.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterator
 
-from .algebra import Field, StructMatrix, invert_grid
-from .automorphism import FactoredAutomorphism, enumerate_relation_automorphisms
+from .algebra import (
+    Field,
+    StructMatrix,
+    grid_add,
+    grid_mul,
+    identity_grid,
+    invert_grid,
+    is_member,
+    matrix_rank,
+    zero_grid,
+)
+from .automorphism import (
+    AutomorphismSpec,
+    FactoredAutomorphism,
+    enumerate_relation_automorphisms,
+    size_bound,
+)
 from .blockform import Permutation
 from .errors import BoundExceeded, Singular
+from .factor import VerifyReport
 from .relation import Relation
 from .transitive import TransitiveFn, cocycle_rank
 
@@ -27,15 +43,10 @@ BRUTE_RANK_BOUND = 6
 QUASIORDER_BOUND = 4
 
 
-def _bound(default: int) -> int:
-    env = os.environ.get("SMA_MAX_N")
-    return int(env) if env else default
-
-
 def brute_relation_automorphisms(rel: Relation) -> tuple[Permutation, ...]:
     """Filter all n! permutations by the definitional test."""
     n = rel.n
-    if n > _bound(BRUTE_AUTOS_BOUND):
+    if n > size_bound(BRUTE_AUTOS_BOUND):
         raise BoundExceeded(f"n = {n} exceeds the brute-force bound")
     found = []
     everything = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -72,7 +83,7 @@ def brute_cocycle_rank(rel: Relation) -> int:
     antisymmetry x(j,i) = -x(i,j) has to emerge from the constraints), and the
     coboundary dimension is the rank of the full difference map.
     """
-    if rel.n > _bound(BRUTE_RANK_BOUND):
+    if rel.n > size_bound(BRUTE_RANK_BOUND):
         raise BoundExceeded(f"n = {rel.n} exceeds the brute-force bound")
     variables = rel.off_diagonal_pairs()
     index = {p: k for k, p in enumerate(variables)}
@@ -107,7 +118,7 @@ def brute_cocycle_rank(rel: Relation) -> int:
 
 def enumerate_quasiorders(n: int) -> Iterator[Relation]:
     """All reflexive-transitive relations on {1..n}, by filtering pair subsets."""
-    if n > _bound(QUASIORDER_BOUND):
+    if n > size_bound(QUASIORDER_BOUND):
         raise BoundExceeded(f"n = {n} exceeds the enumeration bound")
     diagonal = [(i, i) for i in range(1, n + 1)]
     off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
@@ -124,6 +135,48 @@ def enumerate_quasiorders(n: int) -> Iterator[Relation]:
                 break
         if transitive:
             yield Relation(n, frozenset(pairs))
+
+
+def brute_verify(phi: AutomorphismSpec) -> VerifyReport:
+    """The defining properties on the basis, checked in full: in-pattern images,
+    the unit-product rule for every pair of units, preservation of the
+    identity, and bijectivity.  Reports the first failing identity, with the
+    same check names and details as verify_automorphism."""
+    rel, fld = phi.relation, phi.field
+    images = phi.images()
+    pairs = rel.sorted_pairs()
+
+    for p in pairs:
+        if not is_member(rel, images[p]):
+            return VerifyReport(False, "pattern", f"image of unit {p} leaves the pattern")
+
+    n = rel.n
+    zero = zero_grid(fld, n)
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            prod = grid_mul(fld, images[(i, j)], images[(k, l)])
+            expected = images[(i, l)] if j == k else zero
+            if prod != expected:
+                return VerifyReport(
+                    False,
+                    "multiplicativity",
+                    f"image({i},{j}) * image({k},{l}) != "
+                    + (f"image({i},{l})" if j == k else "0"),
+                )
+
+    total = zero
+    for i in range(1, n + 1):
+        total = grid_add(fld, total, images[(i, i)])
+    if total != identity_grid(fld, n):
+        return VerifyReport(False, "unit", "images of the diagonal units do not sum to the identity")
+
+    coords = []
+    for out_pair in pairs:
+        r, c = out_pair
+        coords.append([images[in_pair][r - 1][c - 1] for in_pair in pairs])
+    if matrix_rank(fld, coords) != len(pairs):
+        return VerifyReport(False, "bijectivity", "induced linear map is not bijective")
+    return VerifyReport(True)
 
 
 _RATIONAL_BASES = (2, 3, 5, 7)

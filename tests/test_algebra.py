@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from sma import (
     Field,
     FieldMismatch,
     OffPattern,
+    ParseError,
     PatternMismatch,
     RATIONALS,
     Relation,
@@ -50,6 +53,34 @@ class TestField:
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             gf(6)
+
+    def test_primality_matches_trial_division(self):
+        for p in range(2000):
+            if p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+                assert gf(p).char == p
+            else:
+                with pytest.raises(ValueError):
+                    gf(p)
+        assert gf(2**61 - 1).char == 2**61 - 1
+        assert gf(2**64 - 59).char == 2**64 - 59  # the largest prime below 2^64
+        # strong pseudoprimes: to bases 2, 3, 5, 7 and to the first nine primes
+        for composite in (3215031751, 3825123056546413051):
+            with pytest.raises(ValueError):
+                gf(composite)
+
+    def test_large_characteristic_refused_quickly(self):
+        start = time.monotonic()
+        with pytest.raises(ParseError):
+            Field.from_json({"GF": 10**30 + 57})  # a 31-digit prime
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(ParseError):
+            Field.from_json({"GF": 2**64})
+        with pytest.raises(ParseError):
+            Field.from_json({"GF": [5]})
+
+    def test_division_by_zero_entry_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            RATIONALS.parse_scalar("1/0")
 
     def test_field_axioms_on_samples(self):
         rng = random.Random(11)

@@ -192,6 +192,40 @@ class TestExitCodes:
             main(["not-a-command"])
         assert exc.value.code == 2
 
+    def test_singular_conjugator_exits_one(self, capsys, tmp_path):
+        singular = {"field": "Q", "n": 3, "entries": [["1", "0", "2"], ["0", "0", "0"], ["0", "0", "1"]]}
+        f = tmp_path / "phi.json"
+        f.write_text(json.dumps({"A": singular, "g": {"field": "Q", "values": []}, "tau": [1, 2, 3]}))
+        code, _, err = run(capsys, "verify", str(GOLDEN / "vee3_block.json"), str(f))
+        assert code == 1
+        assert "singular" in err
+
+    def test_division_by_zero_entry_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "matrix.json"
+        f.write_text(json.dumps(
+            {"field": "Q", "n": 3, "entries": [["1/0", "0", "2"], ["0", "3", "4"], ["0", "0", "5"]]}
+        ))
+        code, _, err = run(
+            capsys, "apply",
+            str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json"), str(f),
+        )
+        assert code == 2
+        assert "1/0" in err
+
+    def test_non_integer_size_bound_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("SMA_MAX_N", "abc")
+        for argv in (("autos", str(GOLDEN / "sym6.json")), ("oracle", "quasiorders", "3")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "SMA_MAX_N" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1", "x"])
+    def test_quasiorders_needs_a_positive_size(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "quasiorders", n])
+        assert exc.value.code == 2
+        assert "argument n" in capsys.readouterr().err
+
     def test_failed_verify_exits_one(self, capsys, tmp_path):
         # images that kill the strictly-upper units: unital but not bijective
         from sma import RATIONALS, Relation, matrix_unit

@@ -1,0 +1,238 @@
+"""verify_automorphism against the full product scan, and factor on broken maps.
+
+verify_automorphism certifies a map by factoring and recomposing it, and
+multiplies basis images only to name a failure; brute_verify always runs the
+whole scan.  Their reports must agree field for field, on automorphisms and
+on broken maps alike.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import CROWN6_BLOCK_PAIRS, SYM6_BLOCK_PAIRS, SYM6_PAIRS, VEE3_BLOCK_PAIRS
+
+import sma.automorphism as automorphism
+import sma.factor as factor
+from sma import (
+    RATIONALS,
+    BasisImageAutomorphism,
+    FactoredAutomorphism,
+    NotAutomorphism,
+    Permutation,
+    Relation,
+    Singular,
+    SmaError,
+    StructMatrix,
+    TransitiveFn,
+    brute_verify,
+    compose,
+    enumerate_quasiorders,
+    enumerate_relation_automorphisms,
+    factor_automorphism,
+    gf,
+    identity_automorphism,
+    inner_automorphism,
+    permutation_similarity,
+    verify_automorphism,
+)
+from sma.oracle import random_factored_automorphism, random_invertible
+
+GF5 = gf(5)
+FIELDS = (RATIONALS, GF5)
+SYM6 = Relation.from_pairs(6, SYM6_PAIRS)
+SYM6_BLOCK = Relation.from_pairs(6, SYM6_BLOCK_PAIRS)
+VEE3_BLOCK = Relation.from_pairs(3, VEE3_BLOCK_PAIRS)
+CROWN6_BLOCK = Relation.from_pairs(6, CROWN6_BLOCK_PAIRS)
+TOTAL4 = Relation.from_pairs(4, [(i, j) for i in range(1, 5) for j in range(i, 5)])
+
+DEFECTS = ("perturb", "swap", "off_pattern", "non_unital", "scaled_chain")
+
+
+def _nonzero_other_than_one(field, rng):
+    while True:
+        c = field.random_nonzero(rng)
+        if c != 1:
+            return c
+
+
+def _set_entry(grid, r, s, value):
+    rows = [list(row) for row in grid]
+    rows[r][s] = value
+    return tuple(map(tuple, rows))
+
+
+def _scale(field, c, grid):
+    return tuple(tuple(field.reduce(c * v) for v in row) for row in grid)
+
+
+def _chains(rel):
+    """Pairs (i,k) with i -> j -> k for some j, all three distinct."""
+    pairs = rel.sorted_pairs()
+    return [(i, k) for (i, j) in pairs for (j2, k) in pairs if j2 == j and len({i, j, k}) == 3]
+
+
+def applicable_defects(rel):
+    full = len(rel.pairs) == rel.n * rel.n
+    return [
+        d for d in DEFECTS
+        if not (d == "off_pattern" and full) and not (d == "scaled_chain" and not _chains(rel))
+    ]
+
+
+def break_map(defect, phi, rng):
+    """A copy of phi's basis images with one seeded defect."""
+    rel, field = phi.relation, phi.field
+    images = phi.images()
+    pairs = rel.sorted_pairs()
+    if defect == "perturb":
+        p = rng.choice(pairs)
+        r, s = rng.choice(pairs)
+        old = images[p][r - 1][s - 1]
+        images[p] = _set_entry(images[p], r - 1, s - 1, field.reduce(old + field.random_nonzero(rng)))
+    elif defect == "swap":
+        p, q = rng.sample(pairs, 2)
+        images[p], images[q] = images[q], images[p]
+    elif defect == "off_pattern":
+        p = rng.choice(pairs)
+        outside = [(r, s) for r in range(1, rel.n + 1) for s in range(1, rel.n + 1) if (r, s) not in rel.pairs]
+        r, s = rng.choice(outside)
+        images[p] = _set_entry(images[p], r - 1, s - 1, field.one())
+    elif defect == "non_unital":
+        i = rng.randrange(1, rel.n + 1)
+        images[(i, i)] = _scale(field, _nonzero_other_than_one(field, rng), images[(i, i)])
+    elif defect == "scaled_chain":
+        p = rng.choice(_chains(rel))
+        images[p] = _scale(field, _nonzero_other_than_one(field, rng), images[p])
+    return BasisImageAutomorphism.from_map(rel, field, images)
+
+
+def failing_row(report, rel):
+    """Index of the left operand in a multiplicativity failure's detail."""
+    left = report.detail.split(" * ")[0]
+    i, j = (int(v) for v in left[len("image("):-1].split(","))
+    return rel.sorted_pairs().index((i, j))
+
+
+class TestAgreesWithFullScan:
+    @pytest.mark.parametrize("prefix_rows", [0, factor.SCAN_PREFIX_ROWS])
+    def test_quasiorder_sweep(self, monkeypatch, prefix_rows):
+        # With no scan prefix every map goes through the certificate first.
+        monkeypatch.setattr(factor, "SCAN_PREFIX_ROWS", prefix_rows)
+        rng = random.Random(355)
+        outcomes = set()
+        for rel in enumerate_quasiorders(4):
+            field = FIELDS[rng.randrange(2)]
+            taus = enumerate_relation_automorphisms(rel)
+            phi = compose(
+                inner_automorphism(random_invertible(rel, field, rng)),
+                permutation_similarity(rel, taus[rng.randrange(len(taus))], field),
+            )
+            assert verify_automorphism(phi) == brute_verify(phi)
+            broken = break_map(rng.choice(applicable_defects(rel)), phi, rng)
+            report = verify_automorphism(broken)
+            assert report == brute_verify(broken)
+            outcomes.add(report.check)
+        assert {None, "pattern", "multiplicativity"} <= outcomes
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_broken_goldens(self, field, defect):
+        for rel in (SYM6_BLOCK, CROWN6_BLOCK, SYM6):
+            for seed in range(3):
+                phi = random_factored_automorphism(rel, field, seed)
+                assert verify_automorphism(phi) == brute_verify(phi)
+                broken = break_map(defect, phi, random.Random(seed))
+                report = verify_automorphism(broken)
+                assert report == brute_verify(broken), (rel.n, seed)
+                assert not report.ok
+                assert (report.check == "pattern") == (defect == "off_pattern")
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_failure_past_the_scan_prefix(self, field):
+        # SYM6_BLOCK's first 9 pairs span the class {1,2,3}, and every
+        # automorphism keeps each class's units inside its own diagonal block,
+        # so a defect on the class {4,5} breaks only products of later rows:
+        # the scan resumes after the certificate fails.
+        prefix = SYM6_BLOCK.sorted_pairs()[: factor.SCAN_PREFIX_ROWS]
+        assert all(max(p) <= 3 for p in prefix)
+        for seed in range(4):
+            images = random_factored_automorphism(SYM6_BLOCK, field, seed).images()
+            images[(5, 4)] = _scale(field, 2, images[(5, 4)])
+            broken = BasisImageAutomorphism.from_map(SYM6_BLOCK, field, images)
+            report = verify_automorphism(broken)
+            assert report == brute_verify(broken)
+            assert report.check == "multiplicativity"
+            assert failing_row(report, SYM6_BLOCK) >= factor.SCAN_PREFIX_ROWS
+
+    def test_factors_that_do_not_recompose_certify_nothing(self, monkeypatch):
+        # Soundness rests on the recomposition check, not on the factor steps:
+        # wrong factors send verify back to the scan.
+        monkeypatch.setattr(factor, "_factor_steps", lambda rel, fld, images: identity_automorphism(rel, fld))
+        phi = random_factored_automorphism(SYM6_BLOCK, GF5, 0)
+        images = phi.images()
+        images[(5, 4)] = _scale(GF5, 2, images[(5, 4)])
+        broken = BasisImageAutomorphism.from_map(SYM6_BLOCK, GF5, images)
+        for psi in (phi, broken):
+            assert verify_automorphism(psi) == brute_verify(psi)
+        assert not verify_automorphism(broken).ok
+
+    def test_unit_and_bijectivity_reached_after_the_certificate(self, monkeypatch):
+        # Both maps are multiplicative, so only the checks after the scan fail.
+        monkeypatch.setattr(factor, "SCAN_PREFIX_ROWS", 0)
+        zero = ((0,) * 4,) * 4
+        units = {(i, j): _set_entry(zero, i - 1, j - 1, 1) for (i, j) in TOTAL4.sorted_pairs()}
+        diagonal_only = {p: units[p] if p[0] == p[1] else zero for p in units}
+        without_4 = {p: zero if 4 in p else units[p] for p in units}
+        for images, check in ((diagonal_only, "bijectivity"), (without_4, "unit")):
+            phi = BasisImageAutomorphism.from_map(TOTAL4, GF5, images)
+            assert verify_automorphism(phi) == brute_verify(phi)
+            assert verify_automorphism(phi).check == check
+
+
+class TestFactorOnBrokenMaps:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rel=st.sampled_from([VEE3_BLOCK, TOTAL4, SYM6_BLOCK, CROWN6_BLOCK]),
+        field=st.sampled_from(FIELDS),
+        seed=st.integers(0, 10**6),
+        edits=st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_raises_only_sma_errors(self, rel, field, seed, edits):
+        """Arbitrary entries, in or out of the pattern, written into the images
+        of a random automorphism."""
+        images = random_factored_automorphism(rel, field, seed).images()
+        pairs = rel.sorted_pairs()
+        for k, r, s, v in edits:
+            p = pairs[k % len(pairs)]
+            images[p] = _set_entry(images[p], r % rel.n, s % rel.n, field.element(v))
+        phi = BasisImageAutomorphism.from_map(rel, field, images)
+        assume(not brute_verify(phi).ok)
+        with pytest.raises(NotAutomorphism):
+            factor_automorphism(phi)
+        try:
+            factor_automorphism(phi, assume_verified=True)
+        except SmaError:
+            pass
+
+
+class TestConjugatorInverse:
+    def test_singular_conjugator_rejected_at_construction(self):
+        A = StructMatrix.from_values(RATIONALS, VEE3_BLOCK, {(1, 1): 1, (1, 3): 2, (3, 3): 1})
+        with pytest.raises(Singular):
+            FactoredAutomorphism(A, TransitiveFn.ones(VEE3_BLOCK, RATIONALS), Permutation.identity_perm(3))
+
+    def test_compose_inverts_no_conjugator(self, monkeypatch):
+        outer = random_factored_automorphism(CROWN6_BLOCK, GF5, 1)
+        inner = random_factored_automorphism(CROWN6_BLOCK, GF5, 2)
+        calls = []
+        real = automorphism.invert_grid
+        monkeypatch.setattr(automorphism, "invert_grid", lambda *a: calls.append(1) or real(*a))
+        compose(outer, inner)
+        assert calls == []
