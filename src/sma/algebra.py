@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import FieldMismatch, OffPattern, ParseError, PatternMismatch, Singular
 from .relation import Relation
@@ -19,6 +19,7 @@ from .relation import Relation
 Scalar = Union[Fraction, int]
 Grid = tuple[tuple[Scalar, ...], ...]
 SparseRows = tuple[tuple[tuple[int, Scalar], ...], ...]
+SparseRow = dict[int, Scalar]  # column -> nonzero value
 
 
 # Largest characteristic accepted, exclusive.  Miller-Rabin with the first 12
@@ -136,8 +137,11 @@ class Field:
         if obj == "Q":
             return RATIONALS
         if isinstance(obj, dict) and set(obj) == {"GF"}:
+            char = obj["GF"]
+            if isinstance(char, (bool, float)):
+                raise ParseError(f"characteristic must be an integer, got {char!r}")
             try:
-                return cls(int(obj["GF"]))
+                return cls(int(char))
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc)) from exc
         raise ParseError(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
@@ -219,77 +223,101 @@ def grid_is_zero(a: Grid) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form and pivot columns, by exact elimination."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.reduce(x * inv) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.reduce(x - f * y) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+class Echelon:
+    """Row space of sparse rows, kept in reduced row echelon form.
+
+    A row maps columns to nonzero values.  Each stored row is keyed by its
+    pivot, its smallest column, where it holds 1, and no other stored row has
+    an entry in a pivot column.  So a new row is reduced by one subtraction per
+    pivot column it meets, and the stored rows are the unique reduced row
+    echelon form of everything added, in whatever order it came.
+    """
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+        self.rows: dict[int, SparseRow] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: Mapping[int, Scalar]) -> bool:
+        """Reduce a row (entries reduced, zeros allowed) into the echelon; True iff
+        it was independent of the rows already added."""
+        fld, rows = self.field, self.rows
+        row = {c: v for c, v in row.items() if v != 0}
+        # pivot rows are zero in every other pivot column, so each subtraction
+        # clears one pivot column of `row` and leaves the others as they were
+        for c in [c for c in row if c in rows]:
+            _subtract(fld, row, row[c], rows[c])
+        if not row:
+            return False
+        pivot = min(row)
+        inv = fld.inv(row[pivot])
+        row = {c: fld.reduce(v * inv) for c, v in row.items()}
+        for other in rows.values():
+            f = other.get(pivot)
+            if f is not None:
+                _subtract(fld, other, f, row)
+        rows[pivot] = row
+        return True
+
+    def nullspace(self, ncols: int) -> list[tuple[Scalar, ...]]:
+        """Canonical nullspace basis: one vector per free column, that column set to 1."""
+        fld = self.field
+        zero, one = fld.zero(), fld.one()
+        basis: dict[int, list[Scalar]] = {}
+        for f in range(ncols):
+            if f not in self.rows:
+                basis[f] = [zero] * ncols
+                basis[f][f] = one
+        for pivot, row in self.rows.items():
+            for c, v in row.items():
+                if c != pivot:  # every other column of a reduced row is free
+                    basis[c][pivot] = fld.neg(v)
+        return [tuple(vec) for vec in basis.values()]
+
+
+def _subtract(field: Field, row: SparseRow, factor: Scalar, other: SparseRow) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        x = field.reduce(row.get(c, 0) - factor * v)
+        if x == 0:
+            del row[c]
+        else:
+            row[c] = x
+
+
+def _echelon(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
+    """The echelon of dense rows."""
+    ech = Echelon(field)
+    for r in rows:
+        ech.add(dict(enumerate(r)))
+    return ech
 
 
 def matrix_rank(field: Field, rows: Sequence[Sequence[Scalar]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(field, rows)
-    return len(pivots)
+    return _echelon(field, rows).rank
 
 
 def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Scalar, ...]]:
     """Canonical nullspace basis: one vector per free column, that column set to 1."""
-    if not rows:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero, one = field.zero(), field.one()
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced[r][f])
-        basis.append(tuple(vec))
-    return basis
+    return _echelon(field, rows).nullspace(ncols)
 
 
 def invert_grid(field: Field, a: Grid) -> Grid:
-    """Exact inverse by Gauss-Jordan elimination; raise Singular when none exists."""
+    """Exact inverse, read off the reduced echelon form of [a | I]; raise
+    Singular when none exists."""
     n = len(a)
-    left = [list(row) for row in a]
-    right = [list(row) for row in identity_grid(field, n)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if left[i][c] != 0), None)
-        if pivot_row is None:
+    one, zero = field.one(), field.zero()
+    ech = Echelon(field)
+    for i, row in enumerate(a):
+        augmented = dict(enumerate(row))
+        augmented[n + i] = one
+        ech.add(augmented)  # independent, through its identity part
+        if max(ech.rows) >= n:  # its left part reduced to zero
             raise Singular("matrix is singular")
-        left[c], left[pivot_row] = left[pivot_row], left[c]
-        right[c], right[pivot_row] = right[pivot_row], right[c]
-        inv = field.inv(left[c][c])
-        left[c] = [field.reduce(x * inv) for x in left[c]]
-        right[c] = [field.reduce(x * inv) for x in right[c]]
-        for i in range(n):
-            if i != c and left[i][c] != 0:
-                f = left[i][c]
-                left[i] = [field.reduce(x - f * y) for x, y in zip(left[i], left[c])]
-                right[i] = [field.reduce(x - f * y) for x, y in zip(right[i], right[c])]
-    return tuple(tuple(row) for row in right)
+    return tuple(tuple(ech.rows[i].get(n + j, zero) for j in range(n)) for i in range(n))
 
 
 def is_member(rel: Relation, rows: Union[Grid, "StructMatrix"]) -> bool:

@@ -91,35 +91,44 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
         for i in range(1, n + 1)
     }
 
+    # Adjacency rows as bitmasks: bit t of out_rows[i] is (i,t) in rel, bit t
+    # of in_rows[i] is (t,i) in rel.  Placing j as the image of i is consistent
+    # iff j relates to the images placed so far as i relates to their preimages.
+    out_rows = [0] * (n + 1)
+    in_rows = [0] * (n + 1)
+    for a, b in rel.pairs:
+        out_rows[a] |= 1 << b
+        in_rows[b] |= 1 << a
     found: list[Permutation] = []
     image = [0] * (n + 1)
-    used = [False] * (n + 1)
 
-    def place(i: int) -> None:
+    def place(i: int, placed: int) -> None:
         if i > n:
             found.append(Permutation(n, tuple(image[1:])))
             return
+        want_out = want_in = 0
+        for t in range(1, i):
+            if (out_rows[i] >> t) & 1:
+                want_out |= 1 << image[t]
+            if (in_rows[i] >> t) & 1:
+                want_in |= 1 << image[t]
+        loop = (out_rows[i] >> i) & 1
         for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for t in range(1, i + 1):
-                jt = image[t] if t < i else j
-                if ((i, t) in rel.pairs) != ((j, jt) in rel.pairs):
-                    ok = False
-                    break
-                if ((t, i) in rel.pairs) != ((jt, j) in rel.pairs):
-                    ok = False
-                    break
-            if not ok:
+            if (
+                (placed >> j) & 1
+                or (out_rows[j] & placed) != want_out
+                or (in_rows[j] & placed) != want_in
+                or ((out_rows[j] >> j) & 1) != loop
+            ):
                 continue
             image[i] = j
-            used[j] = True
-            place(i + 1)
-            used[j] = False
+            place(i + 1, placed | 1 << j)
         image[i] = 0
 
-    place(1)
+    place(1, 0)
+    # place refers to itself through its closure; dropping the name frees the
+    # search state (and `found`'s list) now instead of at the next cycle collection
+    del place
     return tuple(found)
 
 
@@ -367,5 +376,8 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
             tau = Permutation(relation.n, tuple(int(v) for v in obj["tau"]))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed permutation: {exc}") from exc
-        return FactoredAutomorphism(a, g, tau)
+        try:
+            return FactoredAutomorphism(a, g, tau)
+        except Mismatch as exc:  # factors over different fields: malformed, not a domain error
+            raise ParseError(str(exc)) from exc
     raise ParseError('automorphism JSON must contain "images" or all of "A", "g", "tau"')

@@ -95,20 +95,26 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
     another layout first normalize with build_block_form and conjugate across
     (see conjugate_by_block_form).  `assume_verified` skips the automorphism
     check for callers that have already run it on the same object.  Without
-    it, the check is verify_automorphism's, and the factors it certified are
-    returned as they are.
+    it, the check is verify_automorphism's, and the factors returned have had
+    their recomposition compared with phi on every basis image: the factors
+    the certificate produced or else (a map with no more pairs than the scan
+    prefix gets no certificate) the factors computed and compared here.
     """
     if not is_block_form(phi.relation):
         raise NotBlockForm(
             "relation is not in block upper triangular form; normalize it first"
         )
-    if not assume_verified:
-        report, certified = _verify(phi)
-        if not report.ok:
-            raise NotAutomorphism(f"{report.check}: {report.detail}")
-        if certified is not None:
-            return certified
-    return _factor_steps(phi.relation, phi.field, phi.images())
+    if assume_verified:
+        return _factor_steps(phi.relation, phi.field, phi.images())
+    report, certified = _verify(phi)
+    if not report.ok:
+        raise NotAutomorphism(f"{report.check}: {report.detail}")
+    if certified is None:
+        images = phi.images()
+        certified = _factor_steps(phi.relation, phi.field, images)
+        if certified.images() != images:
+            raise NotAutomorphism("the factors do not recompose to the map")
+    return certified
 
 
 def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:

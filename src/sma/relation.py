@@ -19,6 +19,22 @@ from .errors import InvalidRelation, ParseError
 MAX_REPORTED_VIOLATIONS = 100
 
 
+def parse_json(text: str, source: str | None = None):
+    """json.loads, with every failure a ParseError prefixed by `source`.
+
+    json reports most errors as JSONDecodeError, but an integer literal over
+    the interpreter's digit limit as a plain ValueError."""
+    prefix = f"{source}: " if source else ""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{prefix}invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:
+        raise ParseError(f"{prefix}invalid JSON: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Relation:
     """Binary relation on {1..n}, stored as a set of ordered 1-based pairs."""
@@ -108,11 +124,7 @@ class Relation:
         """Parse either the JSON or the plain-text relation format."""
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-            return cls.from_json(obj)
+            return cls.from_json(parse_json(text))
         return cls.from_text(text)
 
 

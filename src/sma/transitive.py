@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainMismatch, InvalidRelation, NotTransitive, ParseError
-from .algebra import RATIONALS, Field, Scalar, matrix_rank, nullspace
+from .algebra import RATIONALS, Echelon, Field, Scalar
 from .relation import Relation, validate
 
 MAX_REPORTED_VIOLATIONS = 100
@@ -423,31 +423,29 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
             signed[(i, j)] = (var_index[(j, i)], -1)
     nvars = len(var_index)
 
-    zero, one = Fraction(0), Fraction(1)
-    rows: list[list[Fraction]] = []
+    # One echelon over the chain rows gives the rank; the forest rows then
+    # pin the free coboundary directions, and the nullspace of both is the
+    # canonical complement.
+    echelon = Echelon(RATIONALS)
     succ = {i: rel.successors(i) for i in range(1, rel.n + 1)}
     for i, j in all_pairs:
         for k in succ[j]:
             if k == j or k == i:
                 continue
-            row = [zero] * nvars
-            for pair, coeff in (((i, j), one), ((j, k), one), ((i, k), -one)):
+            row: dict[int, int] = {}
+            for pair, coeff in (((i, j), 1), ((j, k), 1), ((i, k), -1)):
                 var, sign = signed[pair]
-                row[var] += sign * coeff
-            if any(v != 0 for v in row):
-                rows.append(row)
+                row[var] = row.get(var, 0) + sign * coeff
+            echelon.add(row)
 
-    solution_dim = nvars - (matrix_rank(RATIONALS, rows) if rows else 0)
+    solution_dim = nvars - echelon.rank
     forest = spanning_forest(rel)
     coboundary_dim = rel.n - len(forest.components)
 
-    normalized_rows = list(rows)
     for i, j in sorted(forest.tree_edges):
         pair = (i, j) if (i, j) in rel.pairs else (j, i)
-        row = [zero] * nvars
-        row[signed[pair][0]] = one
-        normalized_rows.append(row)
-    basis = nullspace(RATIONALS, normalized_rows, nvars) if nvars else []
+        echelon.add({signed[pair][0]: 1})
+    basis = echelon.nullspace(nvars)
 
     vectors = []
     for vec in basis:

@@ -78,6 +78,12 @@ class TestField:
         with pytest.raises(ParseError):
             Field.from_json({"GF": [5]})
 
+    def test_characteristic_must_be_an_integer(self):
+        for char in (5.5, 5.0, True):
+            with pytest.raises(ParseError):
+                Field.from_json({"GF": char})
+        assert Field.from_json({"GF": 5}) == gf(5)
+
     def test_division_by_zero_entry_is_a_parse_error(self):
         with pytest.raises(ParseError):
             RATIONALS.parse_scalar("1/0")

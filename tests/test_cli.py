@@ -226,6 +226,48 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "argument n" in capsys.readouterr().err
 
+    def test_integer_literal_over_the_digit_limit_exits_two(self, capsys, tmp_path):
+        huge = "9" * 5000
+        rel = tmp_path / "huge.json"
+        rel.write_text('{"n": ' + huge + ', "pairs": []}')
+        code, _, err = run(capsys, "validate", str(rel))
+        assert code == 2
+        assert "invalid JSON" in err and "Traceback" not in err
+        phi = tmp_path / "phi.json"
+        phi.write_text('{"A": ' + huge + "}")
+        code, _, err = run(capsys, "verify", str(GOLDEN / "vee3_block.json"), str(phi))
+        assert code == 2
+        assert str(phi) in err and "invalid JSON" in err
+
+    def test_non_integer_characteristic_exits_two(self, capsys, tmp_path):
+        rel = tmp_path / "one.json"
+        rel.write_text(json.dumps({"n": 1, "pairs": [[1, 1]]}))
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"images": [[1, 1, {"field": {"GF": 5.5}, "n": 1, "entries": [[1]]}]]}))
+        code, _, err = run(capsys, "--json", "verify", str(rel), str(phi))
+        assert code == 2
+        assert "5.5" in err
+
+    def test_factors_over_different_fields_exit_two(self, capsys, tmp_path):
+        identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        spec = {
+            "A": {"field": "Q", "n": 3, "entries": identity},
+            "g": {"field": {"GF": 5}, "values": []},
+            "tau": [1, 2, 3],
+        }
+        f = tmp_path / "phi.json"
+        f.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "verify", str(GOLDEN / "vee3_block.json"), str(f))
+        assert code == 2
+        assert "one field" in err
+        # a permutation that breaks the relation is still a domain error
+        spec["g"]["field"] = "Q"
+        spec["tau"] = [3, 2, 1]
+        f.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "verify", str(GOLDEN / "vee3_block.json"), str(f))
+        assert code == 1
+        assert "does not preserve the relation" in err
+
     def test_failed_verify_exits_one(self, capsys, tmp_path):
         # images that kill the strictly-upper units: unital but not bijective
         from sma import RATIONALS, Relation, matrix_unit

@@ -213,3 +213,7 @@ class TestParsing:
     def test_bad_text_line_is_named(self):
         with pytest.raises(ParseError, match="line 2"):
             Relation.parse("3\n1 2 3\n")
+
+    def test_integer_literal_over_the_digit_limit_is_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            Relation.parse('{"n": ' + "9" * 5000 + ', "pairs": []}')

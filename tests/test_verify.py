@@ -179,6 +179,18 @@ class TestAgreesWithFullScan:
             assert verify_automorphism(psi) == brute_verify(psi)
         assert not verify_automorphism(broken).ok
 
+    def test_factor_compares_the_recomposition_without_a_certificate(self, monkeypatch):
+        # vee3 has no more pairs than the scan prefix, so verify scans in full
+        # and certifies nothing; factor then compares the factors itself.
+        assert len(VEE3_BLOCK.pairs) <= factor.SCAN_PREFIX_ROWS
+        phi = random_factored_automorphism(VEE3_BLOCK, GF5, 0)
+        assert factor_automorphism(phi).images() == phi.images()
+        wrong = identity_automorphism(VEE3_BLOCK, GF5)
+        assert wrong.images() != phi.images()
+        monkeypatch.setattr(factor, "_factor_steps", lambda rel, fld, images: wrong)
+        with pytest.raises(NotAutomorphism, match="recompose"):
+            factor_automorphism(phi)
+
     def test_unit_and_bijectivity_reached_after_the_certificate(self, monkeypatch):
         # Both maps are multiplicative, so only the checks after the scan fail.
         monkeypatch.setattr(factor, "SCAN_PREFIX_ROWS", 0)
