@@ -8,10 +8,8 @@ from .algebra import (
     diagonal_matrix,
     gf,
     identity_matrix,
-    invert,
     is_member,
     matrix_unit,
-    multiply,
 )
 from .automorphism import (
     AutomorphismSpec,
@@ -26,7 +24,6 @@ from .automorphism import (
     is_relation_automorphism,
     permutation_similarity,
     spec_from_json,
-    spec_to_json,
 )
 from .blockform import (
     BlockForm,

@@ -429,15 +429,6 @@ class StructMatrix:
         return cls(field, pattern, rows)
 
 
-def multiply(a: StructMatrix, b: StructMatrix) -> StructMatrix:
-    """Matrix product; closure under the pattern is rechecked by construction."""
-    return a * b
-
-
-def invert(a: StructMatrix) -> StructMatrix:
-    return a.inverse()
-
-
 def identity_matrix(field: Field, pattern: Relation) -> StructMatrix:
     return StructMatrix(field, pattern, identity_grid(field, pattern.n))
 

@@ -23,6 +23,7 @@ from .algebra import (
     grid_add,
     grid_mul,
     grid_scale,
+    identity_matrix,
     invert_grid,
     is_member,
     zero_grid,
@@ -37,21 +38,20 @@ from .errors import (
     ParseError,
     Singular,
 )
-from .relation import Relation, equivalence_classes
+from .relation import Relation
 from .transitive import TransitiveFn, check_transitive
 
 DEFAULT_ENUMERATION_BOUND = 10
 
 
 def is_relation_automorphism(rel: Relation, tau: Permutation) -> bool:
-    """True iff (i,j) and (tau(i),tau(j)) are related or unrelated together, for all i,j."""
+    """True iff (i,j) and (tau(i),tau(j)) are related or unrelated together, for all i,j.
+
+    tau maps pairs to pairs injectively, so it suffices that it maps the
+    relation into itself."""
     if tau.n != rel.n:
         raise ValueError("permutation size does not match the relation")
-    for i in range(1, rel.n + 1):
-        for j in range(1, rel.n + 1):
-            if (((i, j) in rel.pairs) != ((tau(i), tau(j)) in rel.pairs)):
-                return False
-    return True
+    return all((tau(i), tau(j)) in rel.pairs for i, j in rel.pairs)
 
 
 def size_bound(default: int) -> int:
@@ -77,14 +77,10 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
         bound = size_bound(DEFAULT_ENUMERATION_BOUND)
     if n > int(bound):
         raise BoundExceeded(f"n = {n} exceeds the enumeration bound (set SMA_MAX_N to raise it)")
-    part = equivalence_classes(rel)
-    outdeg = {i: 0 for i in range(1, n + 1)}
-    indeg = {i: 0 for i in range(1, n + 1)}
-    for i, j in rel.pairs:
-        outdeg[i] += 1
-        indeg[j] += 1
+    part = rel.partition
     signature = {
-        i: (outdeg[i], indeg[i], len(part.classes[part.class_of(i)])) for i in range(1, n + 1)
+        i: (len(rel.successors(i)), len(rel.predecessors(i)), len(part.classes[part.class_of(i)]))
+        for i in range(1, n + 1)
     }
     candidates = {
         i: tuple(j for j in range(1, n + 1) if signature[j] == signature[i])
@@ -289,16 +285,10 @@ def _check_applicable(phi: AutomorphismSpec, m: StructMatrix) -> None:
         raise Mismatch("matrix and map are constrained by different relations")
 
 
-def images_of(phi: AutomorphismSpec) -> dict[tuple[int, int], Grid]:
-    return phi.images()
-
-
 def permutation_similarity(rel: Relation, tau: Permutation, field: Field) -> FactoredAutomorphism:
     """The map B -> (B[tau(i)][tau(j)]), for a relation-preserving permutation."""
     if not is_relation_automorphism(rel, tau):
         raise NotRelationAutomorphism(f"{tau.cycle_notation()} does not preserve the relation")
-    from .algebra import identity_matrix
-
     return FactoredAutomorphism(identity_matrix(field, rel), TransitiveFn.ones(rel, field), tau)
 
 
@@ -310,8 +300,6 @@ def inner_automorphism(a: StructMatrix) -> FactoredAutomorphism:
 
 
 def identity_automorphism(rel: Relation, field: Field) -> FactoredAutomorphism:
-    from .algebra import identity_matrix
-
     return FactoredAutomorphism(
         identity_matrix(field, rel), TransitiveFn.ones(rel, field), Permutation.identity_perm(rel.n)
     )
@@ -341,10 +329,6 @@ def equal_as_maps(a: AutomorphismSpec, b: AutomorphismSpec) -> bool:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def spec_to_json(phi: AutomorphismSpec) -> dict:
-    return phi.to_json()
-
-
 def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
     """Parse either the factored form {"A", "g", "tau"} or {"images": [...]}."""
     if not isinstance(obj, dict):
@@ -352,12 +336,13 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
     if "images" in obj:
         images = {}
         field = None
+        full = Relation.full(relation.n)
         for item in obj["images"]:
             try:
                 i, j, mat = item
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"malformed image triple {item!r}") from exc
-            m = StructMatrix.from_json(mat, Relation.full(relation.n))
+            m = StructMatrix.from_json(mat, full)
             if field is None:
                 field = m.field
             elif field != m.field:

@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .errors import InvalidOverride, InvalidRelation
-from .relation import (
-    ClassPartition,
-    CondensationDAG,
-    Relation,
-    condensation,
-    equivalence_classes,
-    isolated_classes,
-    validate,
-)
+from .errors import InvalidOverride
+from .relation import ClassPartition, CondensationDAG, Relation
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ class Permutation:
         return Permutation(self.n, tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(self.image[i] == i + 1 for i in range(self.n))
+        return self.image == tuple(range(1, self.n + 1))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its minimum, for display."""
@@ -90,10 +83,14 @@ def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
 
 
 def conjugate_relation(rel: Relation, perm: Permutation) -> Relation:
-    """Relabel: (i,j) related in the result iff their preimages are in the source."""
+    """Relabel: (i,j) related in the result iff their preimages are in the source.
+    The identity returns `rel` itself, with the structure it has computed."""
     if perm.n != rel.n:
         raise ValueError("size mismatch")
-    return Relation(rel.n, frozenset((perm(i), perm(j)) for i, j in rel.pairs))
+    if perm.is_identity():
+        return rel
+    image = (0, *perm.image)
+    return Relation(rel.n, frozenset((image[i], image[j]) for i, j in rel.pairs))
 
 
 @dataclass(frozen=True)
@@ -113,63 +110,59 @@ class BlockForm:
 
     def block_spans(self) -> tuple[tuple[int, int], ...]:
         """Half-open 1-based index range (start, stop) of each diagonal block."""
-        spans = []
-        start = 1
-        for size in self.block_sizes:
-            spans.append((start, start + size))
-            start += size
-        return tuple(spans)
+        return consecutive_spans(self.block_sizes)
+
+
+def consecutive_spans(sizes: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Half-open 1-based index range (start, stop) of consecutive blocks of these sizes."""
+    bounds = tuple(accumulate(sizes, initial=1))
+    return tuple(zip(bounds, bounds[1:]))
 
 
 def class_order_permutation(part: ClassPartition, order: Sequence[int]) -> Permutation:
     """Permutation sending each class, elements ascending, onto the next free range."""
-    mapping: dict[int, int] = {}
-    pos = 1
-    for cls_idx in order:
-        for element in part.classes[cls_idx]:
-            mapping[element] = pos
-            pos += 1
-    return Permutation.from_mapping(len(mapping), mapping)
+    placed = tuple(e for k in order for e in part.classes[k])  # the element at each position
+    return Permutation(len(placed), placed).inverse()
 
 
-def _default_class_order(part: ClassPartition, dag: CondensationDAG, isolated: frozenset[int]) -> list[int]:
-    """Comparable classes topologically sorted (ties by representative), isolated last."""
-    reps = part.representatives
-    comparable = [k for k in range(part.p) if k not in isolated]
-    indeg = {k: 0 for k in comparable}
-    for a, b in dag.edges:
-        indeg[b] += 1
-    ready = [(reps[k], k) for k in comparable if indeg[k] == 0]
-    heapq.heapify(ready)
+def _default_class_order(dag: CondensationDAG) -> list[int]:
+    """Comparable classes topologically sorted (ties by representative), isolated last.
+
+    Classes are indexed in the order of their representatives, so ties are
+    broken by the class index."""
+    indeg = [0] * dag.p
+    for above in dag.successors:
+        for b in above:
+            indeg[b] += 1
+    isolated = dag.isolated
+    ready = [k for k in range(dag.p) if indeg[k] == 0 and k not in isolated]  # ascending: a heap
     order: list[int] = []
     while ready:
-        _, k = heapq.heappop(ready)
+        k = heapq.heappop(ready)
         order.append(k)
-        for a, b in sorted(dag.edges):
-            if a == k:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    heapq.heappush(ready, (reps[b], b))
-    order.extend(sorted(isolated, key=lambda k: reps[k]))
+        for b in dag.successors[k]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(ready, b)
+    order.extend(sorted(isolated))
     return order
 
 
-def _check_override(
-    order: Sequence[int], part: ClassPartition, dag: CondensationDAG, isolated: frozenset[int]
-) -> list[int]:
+def _check_override(order: Sequence[int], part: ClassPartition, dag: CondensationDAG) -> list[int]:
     order = [int(k) for k in order]
     if sorted(order) != list(range(part.p)):
         raise InvalidOverride(f"override must list each of the {part.p} classes exactly once")
     reps = part.representatives
     pos = {k: t for t, k in enumerate(order)}
-    for a, b in sorted(dag.edges):
-        if pos[a] > pos[b]:
-            raise InvalidOverride(
-                f"the class of {reps[a]} must precede the class of {reps[b]} (they are comparable)"
-            )
-    num_comparable = part.p - len(isolated)
+    for a, above in enumerate(dag.successors):
+        for b in above:
+            if pos[a] > pos[b]:
+                raise InvalidOverride(
+                    f"the class of {reps[a]} must precede the class of {reps[b]} (they are comparable)"
+                )
+    num_comparable = part.p - len(dag.isolated)
     trailing = set(order[num_comparable:])
-    if trailing != isolated:
+    if trailing != dag.isolated:
         raise InvalidOverride("isolated classes must occupy the trailing positions")
     return order
 
@@ -183,47 +176,30 @@ def build_block_form(rel: Relation, class_order_override: Optional[Sequence[int]
     linear extension with the isolated classes last; it exists so any other
     admissible diagonal layout can be reproduced exactly.
     """
-    report = validate(rel)
-    if not report.ok:
-        detail = str(report.violations[0]) if report.violations else "too many violations"
-        raise InvalidRelation(f"not a quasi-order: {detail}")
-    part = equivalence_classes(rel)
-    dag = condensation(rel, part)
-    isolated = isolated_classes(dag)
+    part = rel.partition  # raises InvalidRelation unless rel is a quasi-order
+    dag = rel.condensation
     if class_order_override is None:
-        order = _default_class_order(part, dag, isolated)
+        order = _default_class_order(dag)
     else:
-        order = _check_override(class_order_override, part, dag, isolated)
+        order = _check_override(class_order_override, part, dag)
     pi = class_order_permutation(part, order)
     permuted = conjugate_relation(rel, pi)
 
-    sizes = tuple(len(part.classes[k]) for k in order)
     bf = BlockForm(
         source=rel,
         pi=pi,
         permuted=permuted,
         class_order=tuple(order),
-        block_sizes=sizes,
-        num_comparable=part.p - len(isolated),
-        num_isolated=len(isolated),
+        block_sizes=tuple(len(part.classes[k]) for k in order),
+        num_comparable=part.p - len(dag.isolated),
+        num_isolated=len(dag.isolated),
         partition=part,
     )
     # Contiguous ascending class layout makes triangularity automatic; assert it anyway.
-    block_of = _position_blocks(sizes, rel.n)
+    block_of = {pos: b for b, span in enumerate(bf.block_spans()) for pos in range(*span)}
     for i, j in permuted.pairs:
         assert block_of[i] <= block_of[j], f"block triangularity violated at ({i},{j})"
     return bf
-
-
-def _position_blocks(sizes: Sequence[int], n: int) -> dict[int, int]:
-    block_of: dict[int, int] = {}
-    pos = 1
-    for b, size in enumerate(sizes):
-        for _ in range(size):
-            block_of[pos] = b
-            pos += 1
-    assert pos == n + 1
-    return block_of
 
 
 @dataclass(frozen=True)
@@ -260,22 +236,15 @@ def is_semisimple(rel: Relation) -> bool:
 
 
 def is_block_form(rel: Relation) -> bool:
-    """True iff `rel` is already laid out as its own block upper triangular form."""
-    part = equivalence_classes(rel)
-    pos = 1
-    for cls in part.classes:
-        if cls != tuple(range(pos, pos + len(cls))):
-            return False
-        pos += len(cls)
-    for i, j in rel.pairs:
-        if part.class_of(i) > part.class_of(j):
-            return False
-    dag = condensation(rel, part)
-    isolated = isolated_classes(dag)
-    comparable = [k for k in range(part.p) if k not in isolated]
-    if comparable and isolated and max(comparable) > min(isolated):
-        return False
-    return True
+    """True iff `rel` is already laid out as its own block upper triangular form:
+    contiguous classes, each below only later ones, the isolated ones last."""
+    part, dag = rel.partition, rel.condensation
+    spans = consecutive_spans(part.sizes)
+    return (
+        all(cls == tuple(range(*span)) for cls, span in zip(part.classes, spans))
+        and all(a < b for a, above in enumerate(dag.successors) for b in above)
+        and all(k >= part.p - len(dag.isolated) for k in dag.isolated)
+    )
 
 
 def render_pattern_grid(bf: BlockForm) -> str:

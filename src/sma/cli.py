@@ -14,14 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import Field, StructMatrix
-from .automorphism import (
-    enumerate_relation_automorphisms,
-    is_relation_automorphism,
-    spec_from_json,
-    spec_to_json,
-)
+from .automorphism import enumerate_relation_automorphisms, spec_from_json
 from .blockform import (
-    Permutation,
+    BlockForm,
     block_pattern,
     build_block_form,
     class_order_permutation,
@@ -59,13 +54,22 @@ def _load_json(path: str):
     return parse_json(_read_text(path), path)
 
 
+# Largest n --close-reflexive accepts: the closure lists all n diagonal pairs.
+MAX_CLOSE_REFLEXIVE_N = 100_000
+
+
 def _load_relation(path: str, close_reflexive: bool) -> Relation:
     rel = Relation.parse(_read_text(path))
     if close_reflexive:
+        if rel.n > MAX_CLOSE_REFLEXIVE_N:
+            raise ParseError(
+                f"--close-reflexive accepts n up to {MAX_CLOSE_REFLEXIVE_N}, got n = {rel.n}"
+            )
         missing = {(i, i) for i in range(1, rel.n + 1)} - rel.pairs
         if missing:
             rel = Relation(rel.n, rel.pairs | missing)
     return rel
+
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
@@ -74,14 +78,19 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _parse_class_order(text: str, p: int) -> list[int]:
+def _load_block_form(args) -> BlockForm:
+    """The block form of the relation argument, in the --class-order layout when given."""
+    rel = _load_relation(args.relation, args.close_reflexive)
+    if not args.class_order:
+        return build_block_form(rel)
+    p = equivalence_classes(rel).p
     try:
-        order = [int(tok) - 1 for tok in text.split(",")]
+        order = [int(tok) - 1 for tok in args.class_order.split(",")]
     except ValueError as exc:
         raise ParseError(f"--class-order must be comma-separated integers: {exc}") from exc
     if sorted(order) != list(range(p)):
         raise ParseError(f"--class-order must list every class index 1..{p} exactly once")
-    return order
+    return build_block_form(rel, order)
 
 
 def _cmd_validate(args) -> int:
@@ -135,12 +144,7 @@ def _blockform_payload(bf):
 
 
 def _cmd_blockform(args) -> int:
-    rel = _load_relation(args.relation, args.close_reflexive)
-    override = None
-    if args.class_order:
-        part = equivalence_classes(rel)
-        override = _parse_class_order(args.class_order, part.p)
-    bf = build_block_form(rel, override)
+    bf = _load_block_form(args)
     payload = _blockform_payload(bf)
     lines = [
         "permutation: " + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image)),
@@ -156,12 +160,7 @@ def _cmd_blockform(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    rel = _load_relation(args.relation, args.close_reflexive)
-    override = None
-    if args.class_order:
-        part = equivalence_classes(rel)
-        override = _parse_class_order(args.class_order, part.p)
-    bf = build_block_form(rel, override)
+    bf = _load_block_form(args)
     pat = block_pattern(bf)
     payload = {
         "p": pat.p,
@@ -261,7 +260,7 @@ def _cmd_factor(args) -> int:
         phi = conjugate_by_block_form(phi, bf)
         pi = bf.pi
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
-    payload = spec_to_json(factored)
+    payload = factored.to_json()
     payload["recomposition_matches"] = True
     if pi is not None:
         payload["pi"] = pi.to_json()
@@ -309,7 +308,7 @@ def _cmd_oracle(args) -> int:
             field_obj = parse_json(field_obj, "--field")
         field = Field.from_json(field_obj)
         phi = random_factored_automorphism(rel, field, args.seed)
-        payload = spec_to_json(phi)
+        payload = phi.to_json()
         _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
         return 0
     raise ParseError(f"unknown oracle subcommand {args.oracle_cmd!r}")

@@ -58,7 +58,14 @@ from .automorphism import (
     FactoredAutomorphism,
     is_relation_automorphism,
 )
-from .blockform import BlockForm, Permutation, build_block_form, is_block_form, is_semisimple
+from .blockform import (
+    BlockForm,
+    Permutation,
+    build_block_form,
+    consecutive_spans,
+    is_block_form,
+    is_semisimple,
+)
 from .errors import (
     NonScalarBlockAction,
     NotAutomorphism,
@@ -68,16 +75,8 @@ from .errors import (
     Singular,
     SmaError,
 )
-from .relation import Relation, equivalence_classes
+from .relation import Relation
 from .transitive import TransitiveFn, canonicalize, check_transitive
-
-
-def _class_spans(classes) -> list[tuple[int, int]]:
-    """0-based half-open row/column range of each (contiguous) class."""
-    spans = []
-    for cls in classes:
-        spans.append((cls[0] - 1, cls[-1]))
-    return spans
 
 
 def _diag_block_support(grid: Grid, spans) -> list[int]:
@@ -121,8 +120,10 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     """Steps 1-5 on a map over a block-form relation, given by its basis images.
     On a map that is not an automorphism they raise a SmaError or return
     factors that do not recompose to it."""
-    part = equivalence_classes(rel)
-    spans = _class_spans(part.classes)
+    part = rel.partition
+    # 0-based half-open row/column range of each class: in block form the
+    # classes are the diagonal blocks, in order
+    spans = [(start - 1, stop - 1) for start, stop in consecutive_spans(part.sizes)]
     n = rel.n
 
     # (1) class bijection from the diagonal-block support of idempotent images

@@ -5,6 +5,11 @@ are 1-based everywhere, matching the usual matrix-index convention.  The
 mutual-relation classes (i ~ j iff both (i,j) and (j,i) are related) partition
 the ground set; the order they inherit is an acyclic relation on classes, the
 condensation.
+
+A Relation is frozen, so what the algorithms read about it is computed once,
+on first use, and kept on the object: the successor and predecessor index,
+the validation report, the classes, the condensation with its isolated
+classes, and the spanning forest of the comparability graph.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidRelation, ParseError
 
@@ -68,7 +74,10 @@ class Relation:
         return (i, j) in self.pairs
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for (a, j) in self.pairs if a == i))
+        return self._index[0].get(i, ())
+
+    def predecessors(self, i: int) -> tuple[int, ...]:
+        return self._index[1].get(i, ())
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
@@ -127,6 +136,49 @@ class Relation:
             return cls.from_json(parse_json(text))
         return cls.from_text(text)
 
+    # derived structure, each computed on first use
+
+    @cached_property
+    def _index(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        return _build_index(self)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return _validate(self)
+
+    def require_quasi_order(self) -> None:
+        """Raise InvalidRelation, naming the first violation, unless this is a quasi-order."""
+        report = self.validation
+        if not report.ok:
+            raise InvalidRelation(f"not a quasi-order: {report.violations[0]}")
+
+    @cached_property
+    def partition(self) -> ClassPartition:
+        self.require_quasi_order()
+        return _classes(self)
+
+    @cached_property
+    def condensation(self) -> CondensationDAG:
+        return _condensation(self)
+
+    @cached_property
+    def forest(self) -> Forest:
+        return _forest(self)
+
+
+def _build_index(rel: Relation) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """Sorted successors and predecessors of each element that occurs in a
+    pair, in one pass over the pairs (elements in no pair get no entry)."""
+    succ: dict[int, list[int]] = {}
+    pred: dict[int, list[int]] = {}
+    for i, j in rel.pairs:
+        succ.setdefault(i, []).append(j)
+        pred.setdefault(j, []).append(i)
+    return (
+        {i: tuple(sorted(js)) for i, js in succ.items()},
+        {j: tuple(sorted(js)) for j, js in pred.items()},
+    )
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -152,35 +204,33 @@ def validate(rel: Relation) -> ValidationReport:
     """Check reflexivity and transitivity, naming a witness for each failure.
 
     Reporting is capped at MAX_REPORTED_VIOLATIONS entries to bound output on
-    adversarial input; `truncated` records whether the cap was hit.
+    adversarial input; `truncated` records whether the cap was hit.  The
+    report is computed once per relation.
     """
-    violations: list[Violation] = []
-    truncated = False
+    return rel.validation
 
-    def add(v: Violation) -> bool:
-        nonlocal truncated
-        if len(violations) >= MAX_REPORTED_VIOLATIONS:
-            truncated = True
-            return False
-        violations.append(v)
-        return True
 
+def capped_violations(violations: Iterable) -> tuple[tuple, bool]:
+    """The first MAX_REPORTED_VIOLATIONS of `violations`, and whether there are more."""
+    found = tuple(islice(violations, MAX_REPORTED_VIOLATIONS + 1))
+    return found[:MAX_REPORTED_VIOLATIONS], len(found) > MAX_REPORTED_VIOLATIONS
+
+
+def _validate(rel: Relation) -> ValidationReport:
+    violations, truncated = capped_violations(_violations(rel))
+    return ValidationReport(not violations, violations, truncated)
+
+
+def _violations(rel: Relation) -> Iterator[Violation]:
+    """Every missing diagonal pair in order, then every broken chain in sorted pair order."""
     for i in range(1, rel.n + 1):
         if (i, i) not in rel.pairs:
-            if not add(Violation("reflexivity", ((i, i),), (i, i))):
-                break
-    if not truncated:
-        succ = {i: rel.successors(i) for i in range(1, rel.n + 1)}
-        done = False
-        for i, j in rel.sorted_pairs():
-            for k in succ[j]:
-                if (i, k) not in rel.pairs:
-                    if not add(Violation("transitivity", ((i, j), (j, k)), (i, k))):
-                        done = True
-                        break
-            if done:
-                break
-    return ValidationReport(not violations and not truncated, tuple(violations), truncated)
+            yield Violation("reflexivity", ((i, i),), (i, i))
+    succ = rel._index[0]
+    for i, j in rel.sorted_pairs():
+        for k in succ.get(j, ()):
+            if (i, k) not in rel.pairs:
+                yield Violation("transitivity", ((i, j), (j, k)), (i, k))
 
 
 def transitive_reflexive_closure(rel: Relation) -> Relation:
@@ -233,51 +283,137 @@ def equivalence_classes(rel: Relation) -> ClassPartition:
 
     For a valid quasi-order these are exactly the strongly connected components
     of the relation digraph, and mutual membership of both (i,j) and (j,i)
-    already gives the equivalence directly.
+    already gives the equivalence directly.  Raises InvalidRelation unless rel
+    is a quasi-order; computed once per relation.
     """
-    report = validate(rel)
-    if not report.ok:
-        detail = str(report.violations[0]) if report.violations else "too many violations"
-        raise InvalidRelation(f"not a quasi-order: {detail}")
-    seen: set[int] = set()
-    classes: list[tuple[int, ...]] = []
+    return rel.partition
+
+
+def _classes(rel: Relation) -> ClassPartition:
+    """In a quasi-order, i and j are mutually related iff they have the same successors."""
+    succ = rel._index[0]
+    members: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, rel.n + 1):
-        if i in seen:
-            continue
-        cls = tuple(sorted(j for j in range(1, rel.n + 1) if (i, j) in rel.pairs and (j, i) in rel.pairs))
-        seen.update(cls)
-        classes.append(cls)
-    return ClassPartition(tuple(classes))
+        members.setdefault(succ[i], []).append(i)
+    return ClassPartition(tuple(map(tuple, members.values())))
 
 
 @dataclass(frozen=True)
 class CondensationDAG:
-    """Strict order between distinct classes: (a,b) means class a below class b."""
+    """Strict order between distinct classes: successors[a] lists, ascending,
+    the classes above class a."""
 
-    p: int
-    edges: frozenset[tuple[int, int]]
+    successors: tuple[tuple[int, ...], ...]
 
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.edges
+    @property
+    def p(self) -> int:
+        return len(self.successors)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """(a, b) for each class a below class b."""
+        return frozenset((a, b) for a, above in enumerate(self.successors) for b in above)
+
+    @cached_property
+    def isolated(self) -> frozenset[int]:
+        """Classes comparable to no other class."""
+        below = {b for above in self.successors for b in above}
+        return frozenset(a for a, above in enumerate(self.successors) if not above and a not in below)
 
 
 def condensation(rel: Relation, part: ClassPartition) -> CondensationDAG:
-    """Order between distinct classes, read off the class representatives.
+    """Order between distinct classes, computed once per relation; `part` must
+    be the relation's own partition (equivalence_classes(rel))."""
+    if part != rel.partition:
+        raise ValueError("partition is not the relation's own")
+    return rel.condensation
 
-    Whether two classes are related does not depend on the representative
-    choice, so a single pair test per class pair suffices.
-    """
-    reps = part.representatives
-    edges = frozenset(
-        (a, b)
-        for a in range(part.p)
-        for b in range(part.p)
-        if a != b and (reps[a], reps[b]) in rel.pairs
-    )
-    return CondensationDAG(part.p, edges)
+
+def _condensation(rel: Relation) -> CondensationDAG:
+    """Whether two classes are related does not depend on the representative
+    choice, so the classes above a class are those whose representative
+    succeeds its own; representatives ascend with the class index."""
+    reps = rel.partition.representatives
+    class_of_rep = {rep: a for a, rep in enumerate(reps)}
+    succ = rel._index[0]
+    above = [()] * len(reps)
+    for a, rep in enumerate(reps):
+        if len(succ[rep]) > 1:  # else rep is its own only successor: nothing above
+            above[a] = tuple([class_of_rep[j] for j in succ[rep] if j != rep and j in class_of_rep])
+    return CondensationDAG(tuple(above))
 
 
 def isolated_classes(dag: CondensationDAG) -> frozenset[int]:
     """Classes comparable to no other class."""
-    touched = {a for e in dag.edges for a in e}
-    return frozenset(k for k in range(dag.p) if k not in touched)
+    return dag.isolated
+
+
+# ---------------------------------------------------------------------------
+# comparability graph and its canonical spanning forest
+
+@dataclass(frozen=True)
+class Forest:
+    components: tuple[tuple[int, ...], ...]     # vertex sets, sorted
+    tree_edges: frozenset[tuple[int, int]]      # stored as (min, max)
+    order: tuple[tuple[int, int], ...]          # (parent, child) in propagation order
+    roots: tuple[int, ...]
+
+
+def comparability_edges(rel: Relation) -> tuple[tuple[int, int], ...]:
+    """Undirected edges {i,j}, i < j, with at least one direction related."""
+    edges = {(min(i, j), max(i, j)) for i, j in rel.pairs if i != j}
+    return tuple(sorted(edges))
+
+
+def spanning_forest(rel: Relation) -> Forest:
+    """Deterministic spanning forest of the comparability graph, computed once
+    per relation.
+
+    Edges are taken greedily in descending (i,j) order, so the pairs left out
+    of the forest (where free cocycle parameters live) are the
+    lexicographically earliest ones.  Each component is rooted at its minimum
+    vertex and traversed breadth-first for propagation.
+    """
+    return rel.forest
+
+
+def _forest(rel: Relation) -> Forest:
+    n = rel.n
+    parent_uf = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent_uf[x] != x:
+            parent_uf[x] = parent_uf[parent_uf[x]]
+            x = parent_uf[x]
+        return x
+
+    tree: set[tuple[int, int]] = set()
+    for i, j in reversed(comparability_edges(rel)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent_uf[ri] = rj
+            tree.add((i, j))
+
+    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for i, j in tree:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+
+    seen: set[int] = set()
+    components: list[tuple[int, ...]] = []
+    roots: list[int] = []
+    order: list[tuple[int, int]] = []
+    for root in range(1, n + 1):
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        for u in comp:  # breadth-first: comp grows while it is walked
+            for v in sorted(adjacency[u]):
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    order.append((u, v))
+        components.append(tuple(sorted(comp)))
+        roots.append(root)
+    return Forest(tuple(components), frozenset(tree), tuple(order), tuple(roots))

@@ -17,11 +17,10 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainMismatch, InvalidRelation, NotTransitive, ParseError
+from .errors import DomainMismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
-from .relation import Relation, validate
-
-MAX_REPORTED_VIOLATIONS = 100
+from .relation import Relation, capped_violations
+from .relation import Forest, comparability_edges, spanning_forest  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,7 @@ class TransitiveFn:
         The domain must be contained in the relation, every value must be
         nonzero, and any explicitly given diagonal value must be 1.
         """
-        report = validate(relation)
-        if not report.ok:
-            raise InvalidRelation("transitive functions require a valid quasi-order")
+        relation.require_quasi_order()
         given: dict[tuple[int, int], Scalar] = {}
         items = values.items() if isinstance(values, Mapping) else (values or [])
         for pair, raw in items:
@@ -164,92 +161,17 @@ class TransitivityReport:
 
 def check_transitive(g: TransitiveFn) -> TransitivityReport:
     """Verify g(i,j)g(j,k) = g(i,k) over every composable pair of pairs."""
-    rel = g.relation
-    fld = g.field
-    succ = {i: rel.successors(i) for i in range(1, rel.n + 1)}
-    violations: list[CocycleViolation] = []
-    truncated = False
-    for i, j in rel.sorted_pairs():
-        for k in succ[j]:
-            lhs = fld.reduce(g(i, j) * g(j, k))
-            rhs = g(i, k)
-            if lhs != rhs:
-                if len(violations) >= MAX_REPORTED_VIOLATIONS:
-                    truncated = True
-                    break
-                violations.append(CocycleViolation((i, j), (j, k), lhs, rhs))
-        if truncated:
-            break
-    return TransitivityReport(not violations and not truncated, tuple(violations), truncated)
+    rel, fld = g.relation, g.field
 
+    def violations():
+        for i, j in rel.sorted_pairs():
+            for k in rel.successors(j):
+                lhs = fld.reduce(g(i, j) * g(j, k))
+                if lhs != g(i, k):
+                    yield CocycleViolation((i, j), (j, k), lhs, g(i, k))
 
-# ---------------------------------------------------------------------------
-# comparability graph and its canonical spanning forest
-
-@dataclass(frozen=True)
-class Forest:
-    components: tuple[tuple[int, ...], ...]     # vertex sets, sorted
-    tree_edges: frozenset[tuple[int, int]]      # stored as (min, max)
-    order: tuple[tuple[int, int], ...]          # (parent, child) in propagation order
-    roots: tuple[int, ...]
-
-
-def comparability_edges(rel: Relation) -> tuple[tuple[int, int], ...]:
-    """Undirected edges {i,j}, i < j, with at least one direction related."""
-    edges = {(min(i, j), max(i, j)) for i, j in rel.pairs if i != j}
-    return tuple(sorted(edges))
-
-
-def spanning_forest(rel: Relation) -> Forest:
-    """Deterministic spanning forest of the comparability graph.
-
-    Edges are taken greedily in descending (i,j) order, so the pairs left out
-    of the forest (where free cocycle parameters live) are the
-    lexicographically earliest ones.  Each component is rooted at its minimum
-    vertex and traversed breadth-first for propagation.
-    """
-    n = rel.n
-    parent_uf = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    tree: set[tuple[int, int]] = set()
-    for i, j in sorted(comparability_edges(rel), reverse=True):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent_uf[ri] = rj
-            tree.add((i, j))
-
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in tree:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-
-    seen: set[int] = set()
-    components: list[tuple[int, ...]] = []
-    roots: list[int] = []
-    order: list[tuple[int, int]] = []
-    for root in range(1, n + 1):
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adjacency[u]):
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    order.append((u, v))
-                    queue.append(v)
-        components.append(tuple(sorted(comp)))
-        roots.append(root)
-    return Forest(tuple(components), frozenset(tree), tuple(order), tuple(roots))
+    found, truncated = capped_violations(violations())
+    return TransitivityReport(not found, found, truncated)
 
 
 @dataclass(frozen=True)
@@ -296,8 +218,7 @@ def canonicalize(g: TransitiveFn) -> tuple[ScalingVector, TransitiveFn]:
     transitive functions differing by a coboundary canonicalize identically.
     """
     fld = g.field
-    forest = spanning_forest(g.relation)
-    s = _propagate_scaling(g, forest)
+    s = _propagate_scaling(g, g.relation.forest)
     canon_vals = {}
     for (i, j), v in g.entries:
         if i != j:
@@ -324,7 +245,7 @@ def triviality_witness(g: TransitiveFn) -> Union[ScalingVector, ViolatingCycle]:
     if not report.ok:
         raise NotTransitive(str(report.violations[0]) if report.violations else "cocycle check failed")
     rel, fld = g.relation, g.field
-    forest = spanning_forest(g.relation)
+    forest = rel.forest
     s = _propagate_scaling(g, forest)
     bad_pair = None
     for (i, j), v in g.entries:
@@ -405,9 +326,7 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
     number of comparability components, and the canonical complement is the
     set of cocycles vanishing on the spanning forest.
     """
-    report = validate(rel)
-    if not report.ok:
-        raise InvalidRelation("cocycle rank requires a valid quasi-order")
+    rel.require_quasi_order()
     all_pairs = rel.off_diagonal_pairs()
 
     var_index: dict[tuple[int, int], int] = {}
@@ -427,9 +346,8 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
     # pin the free coboundary directions, and the nullspace of both is the
     # canonical complement.
     echelon = Echelon(RATIONALS)
-    succ = {i: rel.successors(i) for i in range(1, rel.n + 1)}
     for i, j in all_pairs:
-        for k in succ[j]:
+        for k in rel.successors(j):
             if k == j or k == i:
                 continue
             row: dict[int, int] = {}
@@ -439,7 +357,7 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
             echelon.add(row)
 
     solution_dim = nvars - echelon.rank
-    forest = spanning_forest(rel)
+    forest = rel.forest
     coboundary_dim = rel.n - len(forest.components)
 
     for i, j in sorted(forest.tree_edges):

@@ -42,7 +42,6 @@ from sma import (
     gf,
     induced_automorphism,
     inner_automorphism,
-    invert,
     is_block_form,
     is_member,
     is_relation_automorphism,
@@ -232,4 +231,4 @@ def test_criterion_6_algebra_closure():
                 A = random_invertible(rel, field, rng)
                 raw_inverse = invert_grid(field, A.rows)
                 assert is_member(rel, raw_inverse)
-                assert invert(A).rows == raw_inverse
+                assert A.inverse().rows == raw_inverse

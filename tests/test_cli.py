@@ -146,13 +146,13 @@ class TestGoldenValues:
         # an inner map over the unnormalized symmetric relation
         import random
 
-        from sma import Relation, gf, inner_automorphism, spec_to_json
+        from sma import Relation, gf, inner_automorphism
         from sma.oracle import random_invertible
 
         rel = Relation.from_json(json.loads((GOLDEN / "sym6.json").read_text()))
         phi = inner_automorphism(random_invertible(rel, gf(5), random.Random(3)))
         phi_path = tmp_path / "phi.json"
-        phi_path.write_text(json.dumps(spec_to_json(phi)))
+        phi_path.write_text(json.dumps(phi.to_json()))
         code, out, _ = run(capsys, "--json", "factor", str(GOLDEN / "sym6.json"), str(phi_path))
         assert code == 0
         payload = json.loads(out)
@@ -175,6 +175,20 @@ class TestExitCodes:
         assert code == 1
         code, _, _ = run(capsys, "validate", str(f), "--close-reflexive")
         assert code == 0
+
+    def test_close_reflexive_refuses_a_ground_set_over_its_bound(self, capsys, tmp_path):
+        from sma.cli import MAX_CLOSE_REFLEXIVE_N
+
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"n": 10**8, "pairs": []}))
+        code, _, err = run(capsys, "validate", str(f), "--close-reflexive")
+        assert code == 2
+        assert str(MAX_CLOSE_REFLEXIVE_N) in err and "Traceback" not in err
+        # without the flag nothing is built over the ground set: the first
+        # missing diagonal pairs are reported at once
+        code, out, _ = run(capsys, "validate", str(f))
+        assert code == 1
+        assert "missing diagonal pair (1,1)" in out
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         junk = tmp_path / "junk.json"
@@ -304,7 +318,7 @@ class TestJsonFixpoint:
         assert out1 == out2
 
     def test_emitted_phi_parses_and_reprints_identically(self, capsys):
-        from sma import Relation, spec_from_json, spec_to_json
+        from sma import Relation, spec_from_json
 
         code, out, _ = run(
             capsys, "--json", "oracle", "randphi", str(GOLDEN / "crown6_block.json"), "--seed", "3",
@@ -314,7 +328,7 @@ class TestJsonFixpoint:
         payload.pop("pi", None)
         rel = Relation.from_json(json.loads((GOLDEN / "crown6_block.json").read_text()))
         phi = spec_from_json(payload, rel)
-        assert spec_to_json(phi) == payload
+        assert phi.to_json() == payload
 
     def test_emitted_factor_output_parses_back(self, capsys):
         code, out, _ = run(
@@ -324,8 +338,8 @@ class TestJsonFixpoint:
         assert code == 0
         payload = json.loads(out)
         payload.pop("recomposition_matches")
-        from sma import Relation, spec_from_json, spec_to_json
+        from sma import Relation, spec_from_json
 
         rel = Relation.from_json(json.loads((GOLDEN / "vee3_block.json").read_text()))
         phi = spec_from_json(payload, rel)
-        assert spec_to_json(phi) == payload
+        assert phi.to_json() == payload

@@ -1,0 +1,209 @@
+"""A Relation's derived structure: equal to the definitions it replaced, and
+computed once per relation object.
+
+The successor and predecessor index, the validation report, the classes and
+the condensation are compared with their plain definitions, written out here
+without the index, on every quasi-order with n <= 4 and on seeded relations
+that are not quasi-orders.  A verify-then-factor run counts how often each
+structure is computed.  The names the benchmark imports must stay importable.
+"""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+import sma
+import sma.oracle as oracle
+import sma.relation as relation_module
+from sma import (
+    RATIONALS,
+    InvalidRelation,
+    Relation,
+    build_block_form,
+    condensation,
+    conjugate_by_block_form,
+    enumerate_quasiorders,
+    equivalence_classes,
+    factor_automorphism,
+    gf,
+    isolated_classes,
+    random_factored_automorphism,
+    spec_from_json,
+    validate,
+    verify_automorphism,
+)
+from sma.relation import ValidationReport, Violation
+
+ROOT = Path(__file__).resolve().parent.parent
+CAP = 100  # MAX_REPORTED_VIOLATIONS
+
+
+# ---------------------------------------------------------------------------
+# the definitions, by scans over all pairs or all elements
+
+def plain_successors(rel, i):
+    return tuple(sorted(j for (a, j) in rel.pairs if a == i))
+
+
+def plain_predecessors(rel, j):
+    return tuple(sorted(i for (i, b) in rel.pairs if b == j))
+
+
+def plain_validate(rel):
+    found = []
+    for i in range(1, rel.n + 1):
+        if (i, i) not in rel.pairs:
+            found.append(Violation("reflexivity", ((i, i),), (i, i)))
+    for i, j in sorted(rel.pairs):
+        for k in plain_successors(rel, j):
+            if (i, k) not in rel.pairs:
+                found.append(Violation("transitivity", ((i, j), (j, k)), (i, k)))
+    return ValidationReport(not found, tuple(found[:CAP]), len(found) > CAP)
+
+
+def plain_classes(rel):
+    seen, classes = set(), []
+    for i in range(1, rel.n + 1):
+        if i not in seen:
+            cls = tuple(j for j in range(1, rel.n + 1) if (i, j) in rel.pairs and (j, i) in rel.pairs)
+            seen.update(cls)
+            classes.append(cls)
+    return tuple(classes)
+
+
+def plain_condensation_edges(rel, classes):
+    reps = [c[0] for c in classes]
+    p = len(classes)
+    return frozenset((a, b) for a in range(p) for b in range(p) if a != b and (reps[a], reps[b]) in rel.pairs)
+
+
+def small_quasiorders():
+    for n in range(1, 5):
+        yield from enumerate_quasiorders(n)
+
+
+def non_quasiorders(count=50):
+    """Seeded random relations that fail reflexivity, transitivity or both;
+    the denser ones on larger ground sets exceed the reporting cap."""
+    rng = random.Random(20261018)
+    found = []
+    while len(found) < count:
+        n = rng.randint(2, 14)
+        density = rng.choice((0.2, 0.5, 0.8))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density]
+        if rng.random() < 0.5:
+            pairs += [(i, i) for i in range(1, n + 1)]
+        rel = Relation.from_pairs(n, pairs)
+        if not plain_validate(rel).ok:
+            found.append(rel)
+    return found
+
+
+def check_index_and_report(rel):
+    for i in range(0, rel.n + 2):
+        assert rel.successors(i) == plain_successors(rel, i)
+        assert rel.predecessors(i) == plain_predecessors(rel, i)
+    assert validate(rel) == plain_validate(rel)
+
+
+def test_structure_matches_the_definitions_on_small_quasiorders():
+    count = 0
+    for rel in small_quasiorders():
+        check_index_and_report(rel)
+        part = equivalence_classes(rel)
+        assert part.classes == plain_classes(rel)
+        dag = condensation(rel, part)
+        edges = plain_condensation_edges(rel, part.classes)
+        assert dag.edges == edges
+        assert dag.successors == tuple(
+            tuple(sorted(b for a2, b in edges if a2 == a)) for a in range(part.p)
+        )
+        touched = {a for e in edges for a in e}
+        assert isolated_classes(dag) == frozenset(k for k in range(part.p) if k not in touched)
+        count += 1
+    assert count == 389
+
+
+def test_structure_matches_the_definitions_on_non_quasiorders():
+    capped = 0
+    for rel in non_quasiorders():
+        check_index_and_report(rel)
+        report = validate(rel)
+        capped += report.truncated
+        with pytest.raises(InvalidRelation) as exc:
+            equivalence_classes(rel)
+        assert str(exc.value) == f"not a quasi-order: {report.violations[0]}"
+    assert capped > 0  # the cap is exercised too
+
+
+def test_condensation_needs_the_relations_own_partition(vee3, crown6):
+    with pytest.raises(ValueError):
+        condensation(vee3, equivalence_classes(crown6))
+
+
+def test_identity_on_ten_thousand_elements():
+    """Each element is its own class and nothing moves.  Every step is linear
+    in the number of pairs; the scans the index replaced were quadratic."""
+    n = 10_000
+    rel = Relation.identity(n)
+    assert validate(rel) == ValidationReport(True, ())
+    assert equivalence_classes(rel).classes == tuple((i,) for i in range(1, n + 1))
+    assert build_block_form(rel).pi.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# computed once per relation object
+
+COMPUTATIONS = ("_build_index", "_validate", "_classes", "_condensation", "_forest")
+
+
+def test_verify_then_factor_computes_each_structure_once_per_relation(monkeypatch):
+    text = (ROOT / "golden" / "crown6.json").read_text()
+    generated = random_factored_automorphism(Relation.parse(text), gf(101), 11)
+    rel = Relation.parse(text)  # fresh, as the CLI reads it; not in block form
+    phi = spec_from_json(generated.as_basis_images().to_json(), rel)
+
+    seen = {name: [] for name in COMPUTATIONS}
+    for name in COMPUTATIONS:
+        def counting(r, _name=name, _compute=getattr(relation_module, name)):
+            seen[_name].append(r)  # holding r keeps each id unique
+            return _compute(r)
+        monkeypatch.setattr(relation_module, name, counting)
+
+    assert verify_automorphism(phi).ok
+    target = conjugate_by_block_form(phi, build_block_form(rel))
+    factored = factor_automorphism(target)
+    assert factored.images() == target.images()
+
+    for name, relations in seen.items():
+        ids = [id(r) for r in relations]
+        assert len(ids) == len(set(ids)), f"{name} ran twice on one relation"
+    assert any(r is rel for r in seen["_validate"])
+    assert seen["_forest"]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's import surface
+
+def test_benchmark_imports_resolve():
+    names = set()
+    for path in sorted((ROOT / "benchmark").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "sma":
+                names.update(alias.name for alias in node.names)
+    assert names
+    assert sorted(name for name in names if not hasattr(sma, name)) == []
+
+
+def test_random_maps_look_up_the_oracle_module_names_at_call_time(monkeypatch, vee3):
+    """The traced benchmark run rebinds these two names on sma.oracle."""
+    called = set()
+    for name in ("cocycle_rank", "enumerate_relation_automorphisms"):
+        def spy(*args, _name=name, _original=getattr(oracle, name), **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, spy)
+    random_factored_automorphism(vee3, RATIONALS, 0)
+    assert called == {"cocycle_rank", "enumerate_relation_automorphisms"}
