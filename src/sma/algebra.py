@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import FieldMismatch, OffPattern, ParseError, PatternMismatch, Singular
-from .relation import Relation
+from .relation import Relation, json_int
 
 Scalar = Union[Fraction, int]
 Grid = tuple[tuple[Scalar, ...], ...]
@@ -137,12 +137,10 @@ class Field:
         if obj == "Q":
             return RATIONALS
         if isinstance(obj, dict) and set(obj) == {"GF"}:
-            char = obj["GF"]
-            if isinstance(char, (bool, float)):
-                raise ParseError(f"characteristic must be an integer, got {char!r}")
+            char = json_int(obj["GF"], "characteristic")
             try:
-                return cls(int(char))
-            except (TypeError, ValueError) as exc:
+                return cls(char)
+            except ValueError as exc:
                 raise ParseError(str(exc)) from exc
         raise ParseError(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
 
@@ -288,21 +286,12 @@ def _subtract(field: Field, row: SparseRow, factor: Scalar, other: SparseRow) ->
             row[c] = x
 
 
-def _echelon(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
-    """The echelon of dense rows."""
+def matrix_rank(field: Field, rows: Iterable[Sequence[Scalar]]) -> int:
+    """Rank of dense rows."""
     ech = Echelon(field)
     for r in rows:
         ech.add(dict(enumerate(r)))
-    return ech
-
-
-def matrix_rank(field: Field, rows: Sequence[Sequence[Scalar]]) -> int:
-    return _echelon(field, rows).rank
-
-
-def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Scalar, ...]]:
-    """Canonical nullspace basis: one vector per free column, that column set to 1."""
-    return _echelon(field, rows).nullspace(ncols)
+    return ech.rank
 
 
 def invert_grid(field: Field, a: Grid) -> Grid:
@@ -420,7 +409,9 @@ class StructMatrix:
             raise ParseError('matrix JSON must be {"field": ..., "n": ..., "entries": [[...], ...]}')
         field = Field.from_json(obj["field"])
         entries = obj["entries"]
-        n = int(obj.get("n", len(entries)))
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise ParseError("matrix entries must be a list of rows, each a list")
+        n = json_int(obj.get("n", len(entries)), "matrix size n")
         if n != pattern.n:
             raise ParseError(f"matrix size {n} does not match the relation size {pattern.n}")
         if len(entries) != n or any(len(r) != n for r in entries):

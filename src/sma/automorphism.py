@@ -33,13 +33,12 @@ from .errors import (
     BoundExceeded,
     Mismatch,
     NotRelationAutomorphism,
-    NotTransitive,
     OffPattern,
     ParseError,
     Singular,
 )
-from .relation import Relation
-from .transitive import TransitiveFn, check_transitive
+from .relation import Relation, json_int
+from .transitive import TransitiveFn
 
 DEFAULT_ENUMERATION_BOUND = 10
 
@@ -146,9 +145,7 @@ class FactoredAutomorphism:
             raise NotRelationAutomorphism(
                 f"{self.permutation.cycle_notation()} does not preserve the relation"
             )
-        report = check_transitive(self.scaling)
-        if not report.ok:
-            raise NotTransitive(str(report.violations[0]))
+        self.scaling.require_transitive()
         self._conjugator_inverse  # raises Singular for a conjugator with no inverse
 
     @cached_property
@@ -334,20 +331,21 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
     if not isinstance(obj, dict):
         raise ParseError("automorphism JSON must be an object")
     if "images" in obj:
+        if not isinstance(obj["images"], list):
+            raise ParseError("images must be a list of [i, j, matrix] triples")
         images = {}
         field = None
         full = Relation.full(relation.n)
         for item in obj["images"]:
-            try:
-                i, j, mat = item
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"malformed image triple {item!r}") from exc
+            if not isinstance(item, list) or len(item) != 3:
+                raise ParseError(f"malformed image triple {item!r}")
+            i, j, mat = item
             m = StructMatrix.from_json(mat, full)
             if field is None:
                 field = m.field
             elif field != m.field:
                 raise ParseError("images use inconsistent fields")
-            images[(int(i), int(j))] = m.rows
+            images[(json_int(i, "image index"), json_int(j, "image index"))] = m.rows
         if field is None:
             raise ParseError("images list is empty")
         try:
@@ -357,9 +355,11 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
     if {"A", "g", "tau"} <= set(obj):
         a = StructMatrix.from_json(obj["A"], relation)
         g = TransitiveFn.from_json(obj["g"], relation)
+        if not isinstance(obj["tau"], list):
+            raise ParseError("tau must be a list of images")
         try:
-            tau = Permutation(relation.n, tuple(int(v) for v in obj["tau"]))
-        except (TypeError, ValueError) as exc:
+            tau = Permutation(relation.n, tuple(json_int(v, "permutation image") for v in obj["tau"]))
+        except ValueError as exc:
             raise ParseError(f"malformed permutation: {exc}") from exc
         try:
             return FactoredAutomorphism(a, g, tau)

@@ -238,13 +238,7 @@ def is_semisimple(rel: Relation) -> bool:
 def is_block_form(rel: Relation) -> bool:
     """True iff `rel` is already laid out as its own block upper triangular form:
     contiguous classes, each below only later ones, the isolated ones last."""
-    part, dag = rel.partition, rel.condensation
-    spans = consecutive_spans(part.sizes)
-    return (
-        all(cls == tuple(range(*span)) for cls, span in zip(part.classes, spans))
-        and all(a < b for a, above in enumerate(dag.successors) for b in above)
-        and all(k >= part.p - len(dag.isolated) for k in dag.isolated)
-    )
+    return build_block_form(rel).pi.is_identity()
 
 
 def render_pattern_grid(bf: BlockForm) -> str:

@@ -13,13 +13,15 @@ similarity.  This module computes such a splitting:
      Its idempotent images are conjugated back onto the standard diagonal
      system by the invertible element V = sum_k e_k * Theta(e_k).
   4. Each diagonal block now carries an automorphism of a full matrix algebra,
-     hence inner; the conjugating block is the one-dimensional solution of
-     A_k * Theta1(X) = X * A_k over the block's unit basis, normalized so its
-     first nonzero entry is 1.
+     hence inner: Theta1(E_uw) = A_k^-1 E_uw A_k = (A_k^-1 e_u)(e_w^T A_k).  So
+     a nonzero row of Theta1(E_1w) is row w of A_k, up to a scalar common to
+     every w; the block conjugator is read off those rows and normalized so its
+     first nonzero entry is 1.  The read assumes the action is inner; on a map
+     whose action is not, step 5 or the recomposition fails.
   5. What remains fixes every diagonal unit, so it scales each unit by a
-     scalar; those scalars form a transitive function.  Its coboundary part is
-     folded into the conjugator, leaving the canonical (forest-normalized)
-     scaling function.
+     scalar, 1 on the diagonal units; those scalars form a transitive
+     function.  Its coboundary part is folded into the conjugator, leaving the
+     canonical (forest-normalized) scaling function.
 
 Every choice is deterministic, so factoring the same map twice returns
 identical factors.
@@ -47,7 +49,6 @@ from .algebra import (
     invert_grid,
     is_member,
     matrix_rank,
-    nullspace,
     sparse_mul,
     sparse_rows,
     zero_grid,
@@ -94,10 +95,9 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
     another layout first normalize with build_block_form and conjugate across
     (see conjugate_by_block_form).  `assume_verified` skips the automorphism
     check for callers that have already run it on the same object.  Without
-    it, the check is verify_automorphism's, and the factors returned have had
-    their recomposition compared with phi on every basis image: the factors
-    the certificate produced or else (a map with no more pairs than the scan
-    prefix gets no certificate) the factors computed and compared here.
+    it, the check is verify_automorphism's, and the factors returned are the
+    ones its certificate produced, whose recomposition has been compared with
+    phi on every basis image.
     """
     if not is_block_form(phi.relation):
         raise NotBlockForm(
@@ -109,10 +109,7 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
     if not report.ok:
         raise NotAutomorphism(f"{report.check}: {report.detail}")
     if certified is None:
-        images = phi.images()
-        certified = _factor_steps(phi.relation, phi.field, images)
-        if certified.images() != images:
-            raise NotAutomorphism("the factors do not recompose to the map")
+        raise NotAutomorphism("the factors do not recompose to the map")
     return certified
 
 
@@ -174,12 +171,11 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     def conj_v(grid: Grid) -> Grid:
         return grid_mul(fld, grid_mul(fld, v, grid), v_inv)
 
-    # (4) blockwise inner part by solving A_k * Theta1(X) = X * A_k on each block
-    block_conjugators: list[Grid] = []
+    # (4) blockwise inner part, read off the block-local images of the first-row units
+    a0_rows = [[fld.zero()] * n for _ in range(n)]
     for k, cls in enumerate(part.classes):
         lo, hi = spans[k]
-        m = hi - lo
-        local_images: dict[tuple[int, int], list[list]] = {}
+        first_row: list[Grid] = []
         for u in cls:
             for w in cls:
                 img = conj_v(theta[(u, w)])
@@ -189,46 +185,14 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
                             raise NonScalarBlockAction(
                                 f"image of unit ({u},{w}) leaves diagonal block {k}"
                             )
-                local_images[(u - lo - 1, w - lo - 1)] = [
-                    [img[lo + r][lo + c] for c in range(m)] for r in range(m)
-                ]
-        nvars = m * m
-        zero = fld.zero()
-        rows = []
-        for (u, w), x in local_images.items():
-            # (W X)[r][c] - (E^{uw} W)[r][c] = 0, unknowns W[r][d] flattened row-major
-            for r in range(m):
-                for c in range(m):
-                    row = [zero] * nvars
-                    for d in range(m):
-                        row[r * m + d] = fld.reduce(row[r * m + d] + x[d][c])
-                    if r == u:
-                        row[w * m + c] = fld.reduce(row[w * m + c] - fld.one())
-                    if any(val != 0 for val in row):
-                        rows.append(row)
-        basis = nullspace(fld, rows, nvars)
-        if len(basis) != 1:
-            raise NonScalarBlockAction(
-                f"block {k} conjugator space has dimension {len(basis)}, expected 1"
-            )
-        vec = basis[0]
-        lead = next(val for val in vec if val != 0)
-        lead_inv = fld.inv(lead)
-        block = tuple(
-            tuple(fld.reduce(vec[r * m + c] * lead_inv) for c in range(m)) for r in range(m)
-        )
+                if u == cls[0]:
+                    first_row.append(tuple(row[lo:hi] for row in img[lo:hi]))
         try:
-            invert_grid(fld, block)
+            block = _read_conjugator(fld, first_row)
         except Singular as exc:
             raise NonScalarBlockAction(f"block {k} conjugator is singular") from exc
-        block_conjugators.append(block)
-
-    a0_rows = [[fld.zero()] * n for _ in range(n)]
-    for k, (lo, hi) in enumerate(spans):
-        blk = block_conjugators[k]
-        for r in range(hi - lo):
-            for c in range(hi - lo):
-                a0_rows[lo + r][lo + c] = blk[r][c]
+        for r, row in enumerate(block):
+            a0_rows[lo + r][lo:hi] = row
     a0 = tuple(tuple(r) for r in a0_rows)
 
     # (5) read off the scaling, canonicalize, fold the coboundary into the conjugator
@@ -246,6 +210,8 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
                     raise NonScalarBlockAction(
                         f"reduced image of unit ({i},{j}) is not a scalar multiple of it"
                     )
+        if i == j and c != fld.one():
+            raise NonScalarBlockAction(f"reduced image of unit ({i},{i}) is {c} times it, not the unit")
         gvals[(i, j)] = c
     g = TransitiveFn.build(rel, fld, gvals)
     report = check_transitive(g)
@@ -256,6 +222,24 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     d = diagonal_matrix(fld, rel, [fld.inv(s) for s in scaling_vec.values])
     a_final = StructMatrix(fld, rel, grid_mul(fld, d.rows, w))
     return FactoredAutomorphism(a_final, g_canonical, tau)
+
+
+def _read_conjugator(fld: Field, first_row: list[Grid]) -> Grid:
+    """The conjugator A of an inner automorphism X -> A^-1 X A of a full matrix
+    algebra, from the images of its first-row units E_1w, scaled so that its
+    first nonzero entry is 1.
+
+    The image of E_1w is the outer product (A^-1 e_1)(e_w^T A), so its row r is
+    row w of A times (A^-1)[r][1]: any r where the image of E_11 is nonzero
+    gives every row of A up to one common scalar.  Raises Singular when the
+    rows read are not an invertible matrix."""
+    r = next((r for r, row in enumerate(first_row[0]) if any(v != 0 for v in row)), None)
+    if r is None:
+        raise Singular("the image of the first unit is zero")
+    lead_inv = fld.inv(next(v for v in first_row[0][r] if v != 0))
+    block = tuple(tuple(fld.reduce(v * lead_inv) for v in img[r]) for img in first_row)
+    invert_grid(fld, block)
+    return block
 
 
 @dataclass(frozen=True)
@@ -321,13 +305,12 @@ def _verify(phi: AutomorphismSpec) -> tuple[VerifyReport, FactoredAutomorphism |
     failure = scan(pairs[:SCAN_PREFIX_ROWS])
     if failure is not None:
         return failure, None
-    if len(pairs) > SCAN_PREFIX_ROWS:
-        certified = _certificate(phi, images)
-        if certified is not None:
-            return VerifyReport(True), certified
-        failure = scan(pairs[SCAN_PREFIX_ROWS:])
-        if failure is not None:
-            return failure, None
+    certified = _certificate(phi, images)
+    if certified is not None:
+        return VerifyReport(True), certified
+    failure = scan(pairs[SCAN_PREFIX_ROWS:])
+    if failure is not None:
+        return failure, None
 
     total = zero
     for i in range(1, n + 1):

@@ -7,9 +7,9 @@ the ground set; the order they inherit is an acyclic relation on classes, the
 condensation.
 
 A Relation is frozen, so what the algorithms read about it is computed once,
-on first use, and kept on the object: the successor and predecessor index,
-the validation report, the classes, the condensation with its isolated
-classes, and the spanning forest of the comparability graph.
+on first use, and kept on the object: the sorted pairs, the successor and
+predecessor index, the validation report, the classes, the condensation with
+its isolated classes, and the spanning forest of the comparability graph.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ def parse_json(text: str, source: str | None = None):
         ) from exc
     except ValueError as exc:
         raise ParseError(f"{prefix}invalid JSON: {exc}") from exc
+
+
+def json_int(value, what: str) -> int:
+    """An integer read from JSON: an int or a string of one.  Anything else,
+    bool and float included, is a ParseError naming `what`."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,10 @@ class Relation:
         return self._index[1].get(i, ())
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.pairs))
+        return self._sorted_pairs
 
     def off_diagonal_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(p for p in self.sorted_pairs() if p[0] != p[1])
+        return self._off_diagonal_pairs
 
     def to_json(self) -> dict:
         return {"n": self.n, "pairs": [list(p) for p in self.sorted_pairs()]}
@@ -92,13 +103,12 @@ class Relation:
     def from_json(cls, obj) -> Relation:
         if not isinstance(obj, dict) or "n" not in obj or "pairs" not in obj:
             raise ParseError('relation JSON must be {"n": ..., "pairs": [[i, j], ...]}')
+        n = json_int(obj["n"], "relation size n")
+        pairs = obj["pairs"]
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ParseError("relation pairs must be a list of [i, j] pairs")
         try:
-            n = int(obj["n"])
-            pairs = [(int(p[0]), int(p[1])) for p in obj["pairs"]]
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"malformed relation JSON: {exc}") from exc
-        try:
-            return cls.from_pairs(n, pairs)
+            return cls.from_pairs(n, ((json_int(i, "element"), json_int(j, "element")) for i, j in pairs))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -137,6 +147,14 @@ class Relation:
         return cls.from_text(text)
 
     # derived structure, each computed on first use
+
+    @cached_property
+    def _sorted_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.pairs))
+
+    @cached_property
+    def _off_diagonal_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(p for p in self._sorted_pairs if p[0] != p[1])
 
     @cached_property
     def _index(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import DomainMismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
-from .relation import Relation, capped_violations
+from .relation import Relation, capped_violations, json_int
 from .relation import Forest, comparability_edges, spanning_forest  # noqa: F401  (re-exported)
 
 
@@ -73,6 +73,12 @@ class TransitiveFn:
     def ones(cls, relation: Relation, field: Field) -> TransitiveFn:
         return cls.build(relation, field, {})
 
+    def require_transitive(self) -> None:
+        """Raise NotTransitive, naming the first violation, unless this is transitive."""
+        report = check_transitive(self)
+        if not report.ok:
+            raise NotTransitive(str(report.violations[0]))
+
     def nontrivial_values(self) -> dict[tuple[int, int], Scalar]:
         one = self.field.one()
         return {p: v for p, v in self.entries if v != one}
@@ -101,13 +107,15 @@ class TransitiveFn:
         if not isinstance(obj, dict) or "field" not in obj:
             raise ParseError('transitive-function JSON must be {"field": ..., "values": [[i, j, v], ...]}')
         field = Field.from_json(obj["field"])
+        items = obj.get("values", [])
+        if not isinstance(items, list):
+            raise ParseError("values must be a list of [i, j, value] triples")
         vals: dict[tuple[int, int], Scalar] = {}
-        for item in obj.get("values", []):
-            try:
-                i, j, raw = item
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"malformed value triple {item!r}") from exc
-            vals[(int(i), int(j))] = field.parse_scalar(raw)
+        for item in items:
+            if not isinstance(item, list) or len(item) != 3:
+                raise ParseError(f"malformed value triple {item!r}")
+            i, j, raw = item
+            vals[(json_int(i, "element"), json_int(j, "element"))] = field.parse_scalar(raw)
         try:
             return cls.build(relation, field, vals)
         except (ValueError, DomainMismatch) as exc:
@@ -241,9 +249,7 @@ def triviality_witness(g: TransitiveFn) -> Union[ScalingVector, ViolatingCycle]:
     off-forest pair (in sorted order) that disagrees yields a closed walk
     through the tree whose oriented product differs from 1.
     """
-    report = check_transitive(g)
-    if not report.ok:
-        raise NotTransitive(str(report.violations[0]) if report.violations else "cocycle check failed")
+    g.require_transitive()
     rel, fld = g.relation, g.field
     forest = rel.forest
     s = _propagate_scaling(g, forest)
@@ -376,9 +382,7 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
 
 def induced_automorphism(g: TransitiveFn):
     """The algebra automorphism scaling each matrix unit by g's value on its pair."""
-    report = check_transitive(g)
-    if not report.ok:
-        raise NotTransitive(str(report.violations[0]) if report.violations else "cocycle check failed")
+    g.require_transitive()
     from .automorphism import BasisImageAutomorphism  # deferred: automorphism imports this module
 
     fld = g.field

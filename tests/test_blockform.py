@@ -11,6 +11,7 @@ from sma import (
     compose_permutations,
     condensation,
     conjugate_relation,
+    enumerate_quasiorders,
     equivalence_classes,
     is_block_form,
     is_semisimple,
@@ -125,6 +126,57 @@ class TestBuildBlockForm:
                 assert is_block_form(bf.permuted)
                 assert conjugate_relation(bf.permuted, bf.pi.inverse()) == rel
             assert admissible >= 1  # the default order is always admissible
+
+
+def reference_is_block_form(rel):
+    """Block form by its definition: each class on a contiguous ascending
+    range in class order, each class below only later ones, the isolated
+    classes last."""
+    part = equivalence_classes(rel)
+    dag = condensation(rel, part)
+    starts = [1]
+    for cls in part.classes:
+        starts.append(starts[-1] + len(cls))
+    return (
+        all(cls == tuple(range(lo, hi)) for cls, lo, hi in zip(part.classes, starts, starts[1:]))
+        and all(a < b for a, above in enumerate(dag.successors) for b in above)
+        and all(k >= part.p - len(dag.isolated) for k in dag.isolated)
+    )
+
+
+def total_order(n):
+    return Relation.from_pairs(n, [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)])
+
+
+def chain_of_pairs(n):
+    """Classes {1,2}, {3,4}, ... in a chain."""
+    return Relation.from_pairs(
+        n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i - 1) // 2 <= (j - 1) // 2]
+    )
+
+
+def crown(n):
+    """Sources 1..k, sinks k+1..2k, source i below every sink except i+k."""
+    k = n // 2
+    pairs = [(i, i) for i in range(1, n + 1)]
+    pairs += [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if j != i]
+    return Relation.from_pairs(n, pairs)
+
+
+class TestIsBlockForm:
+    def test_agrees_with_the_definition(self):
+        rng = random.Random(830)
+        relations = [rel for n in range(1, 5) for rel in enumerate_quasiorders(n)]
+        for n in (5, 6, 7, 8):
+            for base in (total_order(n), chain_of_pairs(n), crown(n), random_quasiorder(rng, n)):
+                relations.append(base)
+                for _ in range(6):
+                    image = list(range(1, n + 1))
+                    rng.shuffle(image)
+                    relations.append(conjugate_relation(base, Permutation(n, tuple(image))))
+        answers = [is_block_form(rel) for rel in relations]
+        assert answers == [reference_is_block_form(rel) for rel in relations]
+        assert 0 < sum(answers) < len(answers)
 
 
 class TestBlockPattern:

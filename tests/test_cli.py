@@ -301,6 +301,50 @@ class TestExitCodes:
         assert json.loads(out)["ok"] is False
 
 
+VEE3_MATRIX = {"field": "Q", "n": 3, "entries": [["1", "0", "2"], ["0", "3", "4"], ["0", "0", "5"]]}
+VEE3_PAIRS = [[1, 1], [1, 3], [2, 2], [2, 3], [3, 3]]
+
+# (subcommand, which argument is replaced, its malformed JSON): each shape used
+# to escape its decoder as a TypeError or ValueError, or was read silently
+MALFORMED_SHAPES = {
+    "matrix-n-string": ("apply", "matrix", {**VEE3_MATRIX, "n": "x"}),
+    "matrix-n-null": ("apply", "matrix", {**VEE3_MATRIX, "n": None}),
+    "matrix-n-float": ("apply", "matrix", {**VEE3_MATRIX, "n": 3.5}),
+    "matrix-entries-number": ("apply", "matrix", {**VEE3_MATRIX, "entries": 5}),
+    "matrix-rows-not-lists": ("apply", "matrix", {**VEE3_MATRIX, "entries": [1, 2, 3]}),
+    "images-number": ("verify", "phi", {"images": 5}),
+    "image-index-string": ("verify", "phi", {"images": [["x", 1, VEE3_MATRIX]]}),
+    "values-number": ("trivial", "fn", {"field": "Q", "values": 5}),
+    "value-index-string": ("trivial", "fn", {"field": "Q", "values": [["a", 2, "3"]]}),
+    "relation-n-float": ("validate", "relation", {"n": 3.5, "pairs": VEE3_PAIRS}),
+    "relation-n-bool": ("validate", "relation", {"n": True, "pairs": [[1, 1]]}),
+}
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+    def test_exits_two(self, capsys, tmp_path, case):
+        sub, replaced, obj = MALFORMED_SHAPES[case]
+        paths = {
+            "relation": str(GOLDEN / "vee3_block.json"),
+            "phi": str(GOLDEN / "vee3_block_phi.json"),
+            "matrix": str(GOLDEN / "vee3_block_matrix.json"),
+            "fn": str(GOLDEN / "vee3_block_scaling.json"),
+        }
+        bad = tmp_path / f"{replaced}.json"
+        bad.write_text(json.dumps(obj))
+        paths[replaced] = str(bad)
+        args = {
+            "apply": ("relation", "phi", "matrix"),
+            "verify": ("relation", "phi"),
+            "trivial": ("relation", "fn"),
+            "validate": ("relation",),
+        }[sub]
+        code, out, err = run(capsys, "--json", sub, *(paths[a] for a in args))
+        assert code == 2, out
+        assert err.startswith("error: ")
+
+
 class TestJsonFixpoint:
     def test_relation_json_round_trips(self, capsys):
         from sma import Relation

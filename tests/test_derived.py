@@ -184,6 +184,13 @@ def test_verify_then_factor_computes_each_structure_once_per_relation(monkeypatc
     assert seen["_forest"]
 
 
+def test_sorted_pairs_are_sorted_once(crown6):
+    assert crown6.sorted_pairs() is crown6.sorted_pairs()
+    assert crown6.off_diagonal_pairs() is crown6.off_diagonal_pairs()
+    assert crown6.sorted_pairs() == tuple(sorted(crown6.pairs))
+    assert crown6.off_diagonal_pairs() == tuple((i, j) for i, j in sorted(crown6.pairs) if i != j)
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's import surface
 

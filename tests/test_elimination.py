@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sma import RATIONALS, Relation, Singular, cocycle_rank, enumerate_quasiorders, gf
-from sma.algebra import Echelon, identity_grid, invert_grid, matrix_rank, nullspace
+from sma.algebra import Echelon, identity_grid, invert_grid, matrix_rank
 from sma.relation import transitive_reflexive_closure
 from sma.transitive import CocycleBasis, _primitive_integer, spanning_forest
 
@@ -125,6 +125,14 @@ def dense_cocycle_rank(rel):
     return CocycleBasis(len(vectors), all_pairs, tuple(vectors))
 
 
+def echelon_of(field, rows):
+    """The echelon of dense rows."""
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.add(dict(enumerate(row)))
+    return echelon
+
+
 def sparse_rref(field, rows, ncols):
     """The nonzero rows of the echelon's reduced row echelon form, dense, and its pivots."""
     echelon = Echelon(field)
@@ -169,7 +177,7 @@ class TestSparseKernel:
         reduced, pivots = dense_rref(field, rows)
         assert sparse_rref(field, rows, ncols) == (reduced[: len(pivots)], pivots)
         assert matrix_rank(field, rows) == len(pivots)
-        assert nullspace(field, rows, ncols) == dense_nullspace(field, rows, ncols)
+        assert echelon_of(field, rows).nullspace(ncols) == dense_nullspace(field, rows, ncols)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -188,9 +196,9 @@ class TestSparseKernel:
         zero, one = field.zero(), field.one()
         assert sparse_rref(field, [], 2) == ([], [])
         assert matrix_rank(field, []) == 0
-        assert nullspace(field, [], 2) == [(one, zero), (zero, one)]
+        assert echelon_of(field, []).nullspace(2) == [(one, zero), (zero, one)]
         assert matrix_rank(field, [[zero, zero]]) == 0
-        assert nullspace(field, [[zero, zero]], 2) == [(one, zero), (zero, one)]
+        assert echelon_of(field, [[zero, zero]]).nullspace(2) == [(one, zero), (zero, one)]
         assert sparse_rref(field, [[zero, zero]], 2) == ([], [])
 
     def test_insertion_order_does_not_change_the_echelon(self, field):

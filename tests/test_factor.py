@@ -3,17 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+import sma.factor as factor
 from sma import (
     NotAutomorphism,
     NotBlockForm,
     NotSemisimple,
     Permutation,
     RATIONALS,
+    Relation,
+    SmaError,
     StructMatrix,
     build_block_form,
     canonicalize,
     compose,
     conjugate_by_block_form,
+    enumerate_quasiorders,
+    enumerate_relation_automorphisms,
     equal_as_maps,
     factor_automorphism,
     factor_semisimple,
@@ -24,6 +29,7 @@ from sma import (
     matrix_unit,
     permutation_similarity,
 )
+from sma.algebra import Echelon, grid_mul, grid_scale, invert_grid
 from sma.automorphism import BasisImageAutomorphism
 from sma.oracle import random_factored_automorphism, random_invertible
 
@@ -149,3 +155,76 @@ class TestBlockFormTransport:
         assert verify_automorphism(moved).ok
         factored = factor_automorphism(moved)
         assert equal_as_maps(factored, moved)
+
+
+def solved_conjugator(field, images, m):
+    """Step 4 as a linear system: the block conjugator W solves W X = E_uw W for
+    every unit E_uw of the m x m block, X its image; the solution space is a
+    line, and its basis vector is scaled so the first nonzero entry is 1."""
+    nvars = m * m
+    echelon = Echelon(field)
+    for (u, w), x in images.items():
+        # (W X)[r][c] - (E_uw W)[r][c] = 0, unknowns W[r][d] flattened row-major
+        for r in range(m):
+            for c in range(m):
+                row = {r * m + d: x[d][c] for d in range(m)}
+                if r == u:
+                    row[w * m + c] = field.reduce(row.get(w * m + c, 0) - field.one())
+                echelon.add(row)
+    (vec,) = echelon.nullspace(nvars)
+    lead_inv = field.inv(next(v for v in vec if v != 0))
+    return tuple(tuple(field.reduce(vec[r * m + c] * lead_inv) for c in range(m)) for r in range(m))
+
+
+class TestBlockConjugator:
+    @pytest.mark.parametrize("field", [RATIONALS, gf(101)], ids=lambda f: f.name)
+    def test_read_agrees_with_the_linear_solve(self, field):
+        rng = random.Random(1993)
+        first_row_zero = 0
+        for m in range(1, 5):
+            full = Relation.full(m)
+            upper = Relation.from_pairs(m, [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)])
+            for trial in range(12):
+                if trial % 2:
+                    # an upper triangular matrix with its columns permuted: the
+                    # image of E_11 is zero outside one row, which may be any row
+                    order = list(range(m))
+                    rng.shuffle(order)
+                    a = tuple(tuple(row[k] for k in order) for row in random_invertible(upper, field, rng).rows)
+                else:
+                    a = random_invertible(full, field, rng).rows
+                a_inv = invert_grid(field, a)
+                first_row_zero += a_inv[0][0] == 0
+                images = {}
+                for u in range(m):
+                    for w in range(m):
+                        unit = StructMatrix.from_values(field, full, {(u + 1, w + 1): 1}).rows
+                        images[(u, w)] = grid_mul(field, grid_mul(field, a_inv, unit), a)
+                read = factor._read_conjugator(field, [images[(0, w)] for w in range(m)])
+                assert read == solved_conjugator(field, images, m)
+                assert next(v for row in read for v in row if v != 0) == field.one()
+                lead = next(v for row in a for v in row if v != 0)
+                assert read == grid_scale(field, field.inv(lead), a)
+        assert first_row_zero > 0
+
+    def test_scaled_diagonal_image_raises_a_domain_error(self):
+        # Step 5 must reject a diagonal unit's scalar other than 1 itself:
+        # TransitiveFn.build raises ValueError on one.
+        rng = random.Random(389)
+        gf5 = gf(5)
+        for k, rel in enumerate(r for n in range(1, 5) for r in enumerate_quasiorders(n)):
+            block = build_block_form(rel).permuted
+            field = (RATIONALS, gf5)[k % 2]
+            taus = enumerate_relation_automorphisms(block)
+            images = compose(
+                inner_automorphism(random_invertible(block, field, rng)),
+                permutation_similarity(block, taus[rng.randrange(len(taus))], field),
+            ).images()
+            for i in range(1, block.n + 1):
+                c = field.element(rng.choice((2, 3, 4)))
+                scaled = dict(images)
+                scaled[(i, i)] = grid_scale(field, c, images[(i, i)])
+                with pytest.raises(SmaError):
+                    factor_automorphism(
+                        BasisImageAutomorphism.from_map(block, field, scaled), assume_verified=True
+                    )

@@ -1,0 +1,75 @@
+"""Arbitrary JSON values through the JSON decoders: each either decodes or
+raises ParseError, which the CLI turns into exit code 2.
+
+Each decoder gets plain JSON values and values shaped like its format with
+arbitrary parts, which reach past the first shape check.  The patterns are
+chosen so that no input is off the pattern or outside the relation's domain,
+where a domain error (exit 1) would be the right answer.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import VEE3_BLOCK_PAIRS
+
+from sma import ParseError, Relation, StructMatrix, TransitiveFn, spec_from_json
+
+VEE3_BLOCK = Relation.from_pairs(3, VEE3_BLOCK_PAIRS)
+FULL3 = Relation.full(3)
+
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["1", "-2/3", "1/0", "x", "3.5", "0"])
+)
+values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+fields = st.sampled_from(["Q", {"GF": 5}, {"GF": 4}, {"GF": 5.0}]) | values
+indices = st.integers(0, 4) | leaves
+
+
+def _rows(entry, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+matrices = st.fixed_dictionaries(
+    {"field": fields, "entries": _rows(leaves, 3) | st.lists(st.lists(leaves, max_size=4), max_size=4) | values},
+    optional={"n": st.integers(2, 4) | values},
+)
+relations = st.fixed_dictionaries(
+    {"n": st.integers(1, 4) | values, "pairs": st.lists(st.lists(indices, min_size=1, max_size=3), max_size=6) | values}
+)
+scalings = st.fixed_dictionaries(
+    {"field": fields},
+    optional={"values": st.lists(st.lists(indices | values, min_size=2, max_size=4), max_size=4) | values},
+)
+image_specs = st.fixed_dictionaries(
+    {"images": st.lists(st.lists(indices | matrices, min_size=2, max_size=4), max_size=5) | values}
+)
+
+DECODERS = {
+    "relation": (Relation.from_json, relations),
+    "matrix": (lambda obj: StructMatrix.from_json(obj, FULL3), matrices),
+    "scaling": (lambda obj: TransitiveFn.from_json(obj, VEE3_BLOCK), scalings),
+    "spec": (lambda obj: spec_from_json(obj, VEE3_BLOCK), image_specs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_only_parse_errors_escape(name, data):
+    decode, shaped = DECODERS[name]
+    obj = data.draw(values | shaped)
+    try:
+        decode(obj)
+    except ParseError:
+        pass
