@@ -9,6 +9,7 @@ is used anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -27,6 +28,11 @@ SparseRow = dict[int, Scalar]  # column -> nonzero value
 # Webster, Math. Comp. 2017), so the test below is exact for every p under it.
 MAX_CHAR = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Scalar strings parse_scalar accepts; Fraction alone would also take decimals
+# and exponents, and expand "1e100000000" digit by digit.
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(p: int) -> bool:
@@ -148,8 +154,11 @@ class Field:
         return str(value) if self.char is None else int(value)
 
     def parse_scalar(self, obj) -> Scalar:
-        if isinstance(obj, float):
-            raise ParseError(f"floating-point scalar {obj!r} is not exact")
+        """A scalar read from JSON: an int or a string of digits with an optional
+        minus sign, over Q also "num/den"; anything else is a ParseError."""
+        grammar, what = (_RATIONAL, 'an integer or "num/den"') if self.char is None else (_INTEGER, "an integer")
+        if isinstance(obj, bool) or not (isinstance(obj, int) or isinstance(obj, str) and grammar.fullmatch(obj)):
+            raise ParseError(f"{self.name} scalar must be {what}, got {obj!r}")
         try:
             return self.element(obj)
         except ValueError as exc:
@@ -349,11 +358,6 @@ class StructMatrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i - 1][j - 1]
-
-    @classmethod
-    def from_entries(cls, field: Field, pattern: Relation, entries) -> StructMatrix:
-        rows = tuple(tuple(field.element(v) for v in row) for row in entries)
-        return cls(field, pattern, rows)
 
     @classmethod
     def from_values(cls, field: Field, pattern: Relation, values: dict[tuple[int, int], Scalar]) -> StructMatrix:

@@ -172,10 +172,16 @@ def build_block_form(rel: Relation, class_order_override: Optional[Sequence[int]
 
     The default class order is the deterministic linear extension of the
     condensation (topological, ties broken by class representative) with the
-    isolated classes last, sorted by representative.  An override must be a
-    linear extension with the isolated classes last; it exists so any other
-    admissible diagonal layout can be reproduced exactly.
+    isolated classes last, sorted by representative.  The default form is
+    built once per relation and kept on it, so every caller shares one
+    permuted relation.  An override must be a linear extension with the
+    isolated classes last; it exists so any other admissible diagonal layout
+    can be reproduced exactly.
     """
+    return rel.block_form if class_order_override is None else _block_form(rel, class_order_override)
+
+
+def _block_form(rel: Relation, class_order_override: Optional[Sequence[int]] = None) -> BlockForm:
     part = rel.partition  # raises InvalidRelation unless rel is a quasi-order
     dag = rel.condensation
     if class_order_override is None:

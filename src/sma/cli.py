@@ -21,7 +21,6 @@ from .blockform import (
     build_block_form,
     class_order_permutation,
     compose_permutations,
-    is_block_form,
     is_semisimple,
     render_block_pattern,
     render_pattern_grid,
@@ -254,21 +253,19 @@ def _cmd_apply(args) -> int:
 def _cmd_factor(args) -> int:
     rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
-    pi = None
-    if not is_block_form(rel):
-        bf = build_block_form(rel)
+    bf = build_block_form(rel)
+    relabelled = not bf.pi.is_identity()
+    if relabelled:
         phi = conjugate_by_block_form(phi, bf)
-        pi = bf.pi
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
     payload = factored.to_json()
     payload["recomposition_matches"] = True
-    if pi is not None:
-        payload["pi"] = pi.to_json()
     lines = []
-    if pi is not None:
+    if relabelled:
+        payload["pi"] = bf.pi.to_json()
         lines.append(
             "relation was not in block form; factored after relabelling by "
-            + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(pi.image))
+            + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image))
         )
     lines += [
         f"tau: {factored.permutation.cycle_notation()}  {list(factored.permutation.image)}",
@@ -415,12 +412,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SmaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -9,19 +9,17 @@ similarity.  This module computes such a splitting:
      pins a size-preserving bijection of classes.
   2. The bijection lifts to a permutation, ascending elements to ascending
      elements within classes; it must preserve the relation.
-  3. Dividing out the permutation similarity leaves a map fixing each class.
-     Its idempotent images are conjugated back onto the standard diagonal
-     system by the invertible element V = sum_k e_k * Theta(e_k).
-  4. Each diagonal block now carries an automorphism of a full matrix algebra,
-     hence inner: Theta1(E_uw) = A_k^-1 E_uw A_k = (A_k^-1 e_u)(e_w^T A_k).  So
-     a nonzero row of Theta1(E_1w) is row w of A_k, up to a scalar common to
-     every w; the block conjugator is read off those rows and normalized so its
-     first nonzero entry is 1.  The read assumes the action is inner; on a map
-     whose action is not, step 5 or the recomposition fails.
-  5. What remains fixes every diagonal unit, so it scales each unit by a
-     scalar, 1 on the diagonal units; those scalars form a transitive
-     function.  Its coboundary part is folded into the conjugator, leaving the
-     canonical (forest-normalized) scaling function.
+  3. Dividing out the permutation similarity leaves Theta, an inner map after
+     a scaling, so each diagonal unit goes to a rank-one idempotent
+     Theta(E_jj) = (A^-1 e_j)(e_j^T A), whose nonzero rows are row j of A up to
+     a scalar.  Row j of the conjugator R is its first nonzero row, scaled so
+     the leading entry is 1; R must be invertible.
+  4. Each unit image must be h(i,j) (R^-1 e_i)(e_j^T R), with h(i,j) read off
+     one entry; h is 1 on the diagonal units and transitive.
+  5. h splits into a coboundary s(i)/s(j), folded into the conjugator as
+     A = diag(1/s) R, and the canonical (forest-normalized) scaling function.
+     s is 1 at each comparability component's minimum element, whose row of A
+     so keeps leading entry 1: that fixes the one free scalar per component.
 
 Every choice is deterministic, so factoring the same map twice returns
 identical factors.
@@ -42,9 +40,7 @@ from .algebra import (
     Grid,
     SparseRows,
     StructMatrix,
-    diagonal_matrix,
     grid_add,
-    grid_mul,
     identity_grid,
     invert_grid,
     is_member,
@@ -115,8 +111,8 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
 
 def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
     """Steps 1-5 on a map over a block-form relation, given by its basis images.
-    On a map that is not an automorphism they raise a SmaError or return
-    factors that do not recompose to it."""
+    Step 4 checks every unit image against the conjugator, so on a map that is
+    not an automorphism they raise a SmaError."""
     part = rel.partition
     # 0-based half-open row/column range of each class: in block form the
     # classes are the diagonal blocks, in order
@@ -152,94 +148,50 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
             f"class bijection lifts to {tau.cycle_notation()}, which does not preserve the relation"
         )
 
-    # (3) divide out the permutation: Theta = phi o P_(tau^-1) is a unit lookup,
-    # then realign its idempotent images onto the standard diagonal system
+    # (3) divide out the permutation: Theta = phi o P_(tau^-1) is a unit lookup.
+    # Row j of the conjugator R is the first nonzero row of Theta(E_jj), scaled
+    # so its leading entry, in column lead[j], is 1
     theta = {(i, j): images[(tau(i), tau(j))] for (i, j) in rel.sorted_pairs()}
-    v_rows = []
-    for i in range(1, n + 1):
-        k = part.class_of(i)
-        block_sum = zero_grid(fld, n)
-        for e in part.classes[k]:
-            block_sum = grid_add(fld, block_sum, theta[(e, e)])
-        v_rows.append(block_sum[i - 1])
-    v = tuple(v_rows)
+    r, lead = [], []
+    for j in range(1, n + 1):
+        row = next((row for row in theta[(j, j)] if any(v != 0 for v in row)), None)
+        if row is None:
+            raise NonScalarBlockAction(f"image of unit ({j},{j}) is zero")
+        c = next(c for c, v in enumerate(row) if v != 0)
+        scale = fld.inv(row[c])
+        r.append(tuple(fld.reduce(v * scale) for v in row))
+        lead.append(c)
     try:
-        v_inv = invert_grid(fld, v)
+        r_inv = invert_grid(fld, r)
     except Singular as exc:
-        raise NotAutomorphism("idempotent images are not conjugate to the diagonal system") from exc
+        raise NonScalarBlockAction("rows read off the diagonal unit images are not invertible") from exc
 
-    def conj_v(grid: Grid) -> Grid:
-        return grid_mul(fld, grid_mul(fld, v, grid), v_inv)
-
-    # (4) blockwise inner part, read off the block-local images of the first-row units
-    a0_rows = [[fld.zero()] * n for _ in range(n)]
-    for k, cls in enumerate(part.classes):
-        lo, hi = spans[k]
-        first_row: list[Grid] = []
-        for u in cls:
-            for w in cls:
-                img = conj_v(theta[(u, w)])
-                for r in range(n):
-                    for c in range(n):
-                        if img[r][c] != 0 and not (lo <= r < hi and lo <= c < hi):
-                            raise NonScalarBlockAction(
-                                f"image of unit ({u},{w}) leaves diagonal block {k}"
-                            )
-                if u == cls[0]:
-                    first_row.append(tuple(row[lo:hi] for row in img[lo:hi]))
-        try:
-            block = _read_conjugator(fld, first_row)
-        except Singular as exc:
-            raise NonScalarBlockAction(f"block {k} conjugator is singular") from exc
-        for r, row in enumerate(block):
-            a0_rows[lo + r][lo:hi] = row
-    a0 = tuple(tuple(r) for r in a0_rows)
-
-    # (5) read off the scaling, canonicalize, fold the coboundary into the conjugator
-    w = grid_mul(fld, a0, v)
-    w_inv = invert_grid(fld, w)
-    gvals: dict[tuple[int, int], object] = {}
+    # (4) against R, Theta(E_ij) = h(i,j) (R^-1 e_i)(e_j^T R): read h(i,j) in a
+    # row where column i of R^-1 is nonzero and in row j's leading column,
+    # then check the whole image is that outer product
+    pivot = [next(k for k, row in enumerate(r_inv) if row[i] != 0) for i in range(n)]
+    hvals: dict[tuple[int, int], object] = {}
     for (i, j) in rel.sorted_pairs():
-        img = grid_mul(fld, grid_mul(fld, w, theta[(i, j)]), w_inv)
-        c = img[i - 1][j - 1]
-        if c == 0:
-            raise NonScalarBlockAction(f"reduced image of unit ({i},{j}) has no ({i},{j}) entry")
-        for r in range(n):
-            for s in range(n):
-                if img[r][s] != 0 and (r, s) != (i - 1, j - 1):
-                    raise NonScalarBlockAction(
-                        f"reduced image of unit ({i},{j}) is not a scalar multiple of it"
-                    )
-        if i == j and c != fld.one():
-            raise NonScalarBlockAction(f"reduced image of unit ({i},{i}) is {c} times it, not the unit")
-        gvals[(i, j)] = c
-    g = TransitiveFn.build(rel, fld, gvals)
-    report = check_transitive(g)
+        img, k = theta[(i, j)], pivot[i - 1]
+        c = fld.div(img[k][lead[j - 1]], r_inv[k][i - 1])
+        if c == 0 or i == j and c != fld.one():
+            raise NonScalarBlockAction(f"unit ({i},{j}) has scalar {c} against the conjugator")
+        for img_row, r_inv_row in zip(img, r_inv):
+            x = fld.reduce(c * r_inv_row[i - 1])
+            if any(v != fld.reduce(x * w) for v, w in zip(img_row, r[j - 1])):
+                raise NonScalarBlockAction(f"image of unit ({i},{j}) is not {c} times the conjugated unit")
+        hvals[(i, j)] = c
+    h = TransitiveFn.build(rel, fld, hvals)
+    report = check_transitive(h)
     if not report.ok:
         raise NonScalarBlockAction(f"unit scalars are not transitive: {report.violations[0]}")
 
-    scaling_vec, g_canonical = canonicalize(g)
-    d = diagonal_matrix(fld, rel, [fld.inv(s) for s in scaling_vec.values])
-    a_final = StructMatrix(fld, rel, grid_mul(fld, d.rows, w))
-    return FactoredAutomorphism(a_final, g_canonical, tau)
-
-
-def _read_conjugator(fld: Field, first_row: list[Grid]) -> Grid:
-    """The conjugator A of an inner automorphism X -> A^-1 X A of a full matrix
-    algebra, from the images of its first-row units E_1w, scaled so that its
-    first nonzero entry is 1.
-
-    The image of E_1w is the outer product (A^-1 e_1)(e_w^T A), so its row r is
-    row w of A times (A^-1)[r][1]: any r where the image of E_11 is nonzero
-    gives every row of A up to one common scalar.  Raises Singular when the
-    rows read are not an invertible matrix."""
-    r = next((r for r, row in enumerate(first_row[0]) if any(v != 0 for v in row)), None)
-    if r is None:
-        raise Singular("the image of the first unit is zero")
-    lead_inv = fld.inv(next(v for v in first_row[0][r] if v != 0))
-    block = tuple(tuple(fld.reduce(v * lead_inv) for v in img[r]) for img in first_row)
-    invert_grid(fld, block)
-    return block
+    # (5) canonicalize, folding the coboundary into the conjugator: A = diag(1/s) R
+    scaling_vec, g_canonical = canonicalize(h)
+    a = tuple(
+        tuple(fld.reduce(v * s_inv) for v in row) for row, s_inv in zip(r, map(fld.inv, scaling_vec.values))
+    )
+    return FactoredAutomorphism(StructMatrix(fld, rel, a), g_canonical, tau)
 
 
 @dataclass(frozen=True)
@@ -343,10 +295,7 @@ def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:
     if not is_semisimple(phi.relation):
         raise NotSemisimple("relation is not symmetric")
     factored = factor_automorphism(phi)
-    one = factored.scaling.field.one()
-    assert all(v == one for _, v in factored.scaling.entries), (
-        "block diagonal relations admit only trivial canonical scalings"
-    )
+    assert not factored.scaling.nontrivial_values(), "block diagonal relations admit only trivial canonical scalings"
     return factored
 
 

@@ -9,7 +9,8 @@ condensation.
 A Relation is frozen, so what the algorithms read about it is computed once,
 on first use, and kept on the object: the sorted pairs, the successor and
 predecessor index, the validation report, the classes, the condensation with
-its isolated classes, and the spanning forest of the comparability graph.
+its isolated classes, the spanning forest of the comparability graph, and the
+default block form.
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ class Relation:
     @cached_property
     def forest(self) -> Forest:
         return _forest(self)
+
+    @cached_property
+    def block_form(self):
+        from .blockform import _block_form  # deferred: blockform imports this module
+
+        return _block_form(self)
 
 
 def _build_index(rel: Relation) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:

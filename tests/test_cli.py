@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,30 @@ class TestMalformedShapes:
             "validate": ("relation",),
         }[sub]
         code, out, err = run(capsys, "--json", sub, *(paths[a] for a in args))
+        assert code == 2, out
+        assert err.startswith("error: ")
+
+
+class TestScalarGrammar:
+    def _apply(self, capsys, tmp_path, entry):
+        bad = tmp_path / "matrix.json"
+        bad.write_text(json.dumps({**VEE3_MATRIX, "entries": [[entry, "0", "2"], ["0", "3", "4"], ["0", "0", "5"]]}))
+        return run(
+            capsys, "--json", "apply",
+            str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json"), str(bad),
+        )
+
+    def test_exponent_string_exits_two_at_once(self, capsys, tmp_path):
+        # Fraction("1e100000000") would expand the exponent digit by digit
+        start = time.monotonic()
+        code, out, err = self._apply(capsys, tmp_path, "1e100000000")
+        assert code == 2, out
+        assert err.startswith("error: ")
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_scalar_exits_two(self, capsys, tmp_path, value):
+        code, out, err = self._apply(capsys, tmp_path, value)
         assert code == 2, out
         assert err.startswith("error: ")
 

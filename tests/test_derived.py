@@ -1,5 +1,5 @@
 """A Relation's derived structure: equal to the definitions it replaced, and
-computed once per relation object.
+computed once per relation.
 
 The successor and predecessor index, the validation report, the classes and
 the condensation are compared with their plain definitions, written out here
@@ -154,7 +154,7 @@ def test_identity_on_ten_thousand_elements():
 
 
 # ---------------------------------------------------------------------------
-# computed once per relation object
+# computed once per relation
 
 COMPUTATIONS = ("_build_index", "_validate", "_classes", "_condensation", "_forest")
 
@@ -168,7 +168,7 @@ def test_verify_then_factor_computes_each_structure_once_per_relation(monkeypatc
     seen = {name: [] for name in COMPUTATIONS}
     for name in COMPUTATIONS:
         def counting(r, _name=name, _compute=getattr(relation_module, name)):
-            seen[_name].append(r)  # holding r keeps each id unique
+            seen[_name].append(r)
             return _compute(r)
         monkeypatch.setattr(relation_module, name, counting)
 
@@ -177,11 +177,14 @@ def test_verify_then_factor_computes_each_structure_once_per_relation(monkeypatc
     factored = factor_automorphism(target)
     assert factored.images() == target.images()
 
+    # equal relations count as one: the relabelled relation is built once
     for name, relations in seen.items():
-        ids = [id(r) for r in relations]
-        assert len(ids) == len(set(ids)), f"{name} ran twice on one relation"
+        assert len(relations) == len(set(relations)), f"{name} ran twice on equal relations"
     assert any(r is rel for r in seen["_validate"])
     assert seen["_forest"]
+    assert build_block_form(rel) is build_block_form(rel)
+    overridden = build_block_form(rel, class_order_override=(0, 3, 1, 2))  # the default order
+    assert overridden == build_block_form(rel) and overridden is not build_block_form(rel)
 
 
 def test_sorted_pairs_are_sorted_once(crown6):

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import CROWN6_BLOCK_PAIRS, SYM6_BLOCK_PAIRS, VEE3_BLOCK_PAIRS
 
 import sma.factor as factor
 from sma import (
@@ -31,7 +34,7 @@ from sma import (
 )
 from sma.algebra import Echelon, grid_mul, grid_scale, invert_grid
 from sma.automorphism import BasisImageAutomorphism
-from sma.oracle import random_factored_automorphism, random_invertible
+from sma.oracle import brute_verify, random_factored_automorphism, random_invertible
 
 
 class TestWorkedExample:
@@ -158,9 +161,9 @@ class TestBlockFormTransport:
 
 
 def solved_conjugator(field, images, m):
-    """Step 4 as a linear system: the block conjugator W solves W X = E_uw W for
-    every unit E_uw of the m x m block, X its image; the solution space is a
-    line, and its basis vector is scaled so the first nonzero entry is 1."""
+    """The conjugator as a linear system: W solves W X = E_uw W for every unit
+    E_uw of the full m x m algebra, X its image; the solution space is a line,
+    and its basis vector is scaled so the first nonzero entry is 1."""
     nvars = m * m
     echelon = Echelon(field)
     for (u, w), x in images.items():
@@ -179,8 +182,10 @@ def solved_conjugator(field, images, m):
 class TestBlockConjugator:
     @pytest.mark.parametrize("field", [RATIONALS, gf(101)], ids=lambda f: f.name)
     def test_read_agrees_with_the_linear_solve(self, field):
+        """The conjugator read off the diagonal unit images of an inner map of a
+        full matrix algebra is the solution of the linear system."""
         rng = random.Random(1993)
-        first_row_zero = 0
+        moved_rows = first_row_zero = 0
         for m in range(1, 5):
             full = Relation.full(m)
             upper = Relation.from_pairs(m, [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)])
@@ -194,21 +199,53 @@ class TestBlockConjugator:
                 else:
                     a = random_invertible(full, field, rng).rows
                 a_inv = invert_grid(field, a)
-                first_row_zero += a_inv[0][0] == 0
+                # Theta(E_jj) = (A^-1 e_j)(e_j^T A) is nonzero in the rows where
+                # column j of A^-1 is, so its first nonzero row need not be row j
+                first_rows = [next(r for r in range(m) if a_inv[r][j] != 0) for j in range(m)]
+                moved_rows += sum(r != j for j, r in enumerate(first_rows))
+                first_row_zero += first_rows[0] != 0
                 images = {}
                 for u in range(m):
                     for w in range(m):
                         unit = StructMatrix.from_values(field, full, {(u + 1, w + 1): 1}).rows
                         images[(u, w)] = grid_mul(field, grid_mul(field, a_inv, unit), a)
-                read = factor._read_conjugator(field, [images[(0, w)] for w in range(m)])
+                phi = BasisImageAutomorphism.from_map(
+                    full, field, {(u + 1, w + 1): x for (u, w), x in images.items()}
+                )
+                factored = factor_automorphism(phi, assume_verified=True)
+                read = factored.conjugator.rows
+                assert factored.permutation.is_identity()
+                assert factored.scaling.nontrivial_values() == {}
                 assert read == solved_conjugator(field, images, m)
                 assert next(v for row in read for v in row if v != 0) == field.one()
                 lead = next(v for row in a for v in row if v != 0)
                 assert read == grid_scale(field, field.inv(lead), a)
-        assert first_row_zero > 0
+        assert moved_rows > 0 and first_row_zero > 0
+
+    def test_each_unit_image_is_checked_against_the_conjugator(self):
+        # The read takes one row of each diagonal image and one entry of each
+        # unit image; step 4 must still compare every entry, so a map that is
+        # not an automorphism raises even when verification is skipped.
+        rng = random.Random(1993)
+        checked = 0
+        for k, rel in enumerate(r for n in range(1, 5) for r in enumerate_quasiorders(n)):
+            block = build_block_form(rel).permuted
+            field = (RATIONALS, gf(5))[k % 2]
+            images = random_factored_automorphism(block, field, k).images()
+            p = rng.choice(block.sorted_pairs())
+            r, c = rng.choice(block.sorted_pairs())
+            grid = [list(row) for row in images[p]]
+            grid[r - 1][c - 1] = field.reduce(grid[r - 1][c - 1] + field.one())
+            broken = BasisImageAutomorphism.from_map(block, field, {**images, p: tuple(map(tuple, grid))})
+            if brute_verify(broken).ok:
+                continue
+            with pytest.raises(SmaError):
+                factor_automorphism(broken, assume_verified=True)
+            checked += 1
+        assert checked > 300
 
     def test_scaled_diagonal_image_raises_a_domain_error(self):
-        # Step 5 must reject a diagonal unit's scalar other than 1 itself:
+        # Step 4 must reject a diagonal unit's scalar other than 1 itself:
         # TransitiveFn.build raises ValueError on one.
         rng = random.Random(389)
         gf5 = gf(5)
@@ -228,3 +265,65 @@ class TestBlockConjugator:
                     factor_automorphism(
                         BasisImageAutomorphism.from_map(block, field, scaled), assume_verified=True
                     )
+
+
+# Factor JSON of seeded maps, pinned by digest so a change to the factor steps
+# that moves any conjugator entry, scaling value or permutation shows here.
+PIN_FAMILIES = {
+    "total8": [(i, j) for i in range(1, 9) for j in range(i, 9)],
+    # classes {1,2}, {3,4}, {5,6}, {7,8} stacked in a chain
+    "chain2_8": [(i, j) for i in range(1, 9) for j in range(1, 9) if (i + 1) // 2 <= (j + 1) // 2],
+    # sources 1..4, sinks 5..8, source i below every sink except i+4
+    "crown8": [(i, i) for i in range(1, 9)] + [(i, 4 + j) for i in range(1, 5) for j in range(1, 5) if j != i],
+}
+
+FACTOR_DIGESTS = {
+    "sym6_block/Q/0": "42b9047b6dee6827fe119838c1c4b1f054031e4ad15cdfc1ce5eb01e2a721122",
+    "sym6_block/Q/1": "0224497b4558277351fd1d2be536f7dd207f07a8d8feea22ccb62ad196cdcca5",
+    "sym6_block/Q/2": "f84cba8b5d91dd207ade887386f2c8af9d8522207eb5af46a23f068cb0e2803b",
+    "sym6_block/GF(5)/0": "9b4b7ef68a400355ecceda3c6f7ebc195dea7fd216833a6d4ad2df0704621980",
+    "sym6_block/GF(5)/1": "4a90ce47bd3cfbfa18264bd469dd81d87f4aabd02f467984282e4583c45a4a6b",
+    "sym6_block/GF(5)/2": "afae0829d4b22931791dfd6abad2c4c2c192b22ce2f752205624f5a9dec38ee0",
+    "vee3_block/Q/0": "5c68507645cd09cddd45e322ef4599a69be2ee657655a8f8986ec6c7b31c6a1f",
+    "vee3_block/Q/1": "fde480a105da0f9b4fcad5aef4799e7f7cae734c19e90f265f88d5c00be9bc1f",
+    "vee3_block/Q/2": "da42c02f230a152e16c270d114456e2e54cb1b8687aa9598c95ca58d5b7842eb",
+    "vee3_block/GF(5)/0": "b6291d2c3e5d7fa5bb4e51ad6e05b7fefced379d887207d8f4ad28933b16952a",
+    "vee3_block/GF(5)/1": "db0c2ece6e6498a4e5c400df1081f3e5147708a877150b36a06970b007e91e38",
+    "vee3_block/GF(5)/2": "e1fe0848160bbe9c3554f1b99c388ac9c47860745d3181a4e5d5e1df2ff7d943",
+    "crown6_block/Q/0": "10f31d0b070a753d4df7c92b7c8d8398705b077737e44e9ad9259565260739bb",
+    "crown6_block/Q/1": "fefaafa04fbc7b9f0c1ecb70b6cbe38a660d5596757d7ebdad161bad279f1a95",
+    "crown6_block/Q/2": "b2fbe92bbf5687b0cbbfa32d81301ca21bf4e8be83d8c7e41c0d76a956318650",
+    "crown6_block/GF(5)/0": "d12c507a093f0d603cbda6bac7c3c9b0f06bb640da345e08fa5ed3a88f2ed1cd",
+    "crown6_block/GF(5)/1": "0c1438f590dd8e5a309e62f62e91a40954dfd68afb88aaf07c6ee61f4ace6df1",
+    "crown6_block/GF(5)/2": "273c2aea22aa713c32970da925a289cc5508577d791da7d473b8f3abd0ee5fc2",
+    "total8/GF(101)/0": "6aa03b2c41a37b69ef6dbe4353ed3da02f199d3c762ad14d6c849f9a19f56386",
+    "total8/GF(101)/1": "53093a767882ea3a85064cb0866ba47b0f97ab562a427b5bcd7385b1ce7ebfcb",
+    "total8/GF(101)/2": "bedb7d7561e5313f5b6692ed18a7e6b7f711d9d85aad1983bf7026c7d541e767",
+    "chain2_8/GF(101)/0": "047dd25536fa1ff05cbf1a967cca6e26d9c315bb26d4b5012f591dfb0df90e60",
+    "chain2_8/GF(101)/1": "e6c2b6d9a86a02a212dd821836e22376367795a2fc67edae49c969f660395009",
+    "chain2_8/GF(101)/2": "51624d9f6e2f4feb0150de05bb01463a2d36d93988b1e27b9aa66b918c43d387",
+    "crown8/GF(101)/0": "b0a644d2fb6eedcdcd522f318683bddb64d347b44d89061cf1d50aa6b8b53edb",
+    "crown8/GF(101)/1": "4bf7c327faac40ab8facf8f1c02402be31af0bd210dba0944a24acdfd268fb4a",
+    "crown8/GF(101)/2": "95cb6851fb03a7b25c1595458efe23c382cdd8a732b221b4738dee8c31ff4ca1",
+}
+
+
+def pinned_maps():
+    golden = {"sym6_block": SYM6_BLOCK_PAIRS, "vee3_block": VEE3_BLOCK_PAIRS, "crown6_block": CROWN6_BLOCK_PAIRS}
+    for name, pairs in golden.items():
+        rel = Relation.from_pairs(max(max(p) for p in pairs), pairs)
+        for field in (RATIONALS, gf(5)):
+            for seed in range(3):
+                yield f"{name}/{field.name}/{seed}", rel, field, seed
+    for name, pairs in PIN_FAMILIES.items():
+        rel = build_block_form(Relation.from_pairs(8, pairs)).permuted
+        for seed in range(3):
+            yield f"{name}/GF(101)/{seed}", rel, gf(101), seed
+
+
+def test_factor_json_of_seeded_maps_is_pinned():
+    digests = {}
+    for key, rel, field, seed in pinned_maps():
+        factored = factor_automorphism(random_factored_automorphism(rel, field, seed))
+        digests[key] = hashlib.sha256(json.dumps(factored.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digests == FACTOR_DIGESTS

@@ -179,9 +179,10 @@ class TestAgreesWithFullScan:
             assert verify_automorphism(psi) == brute_verify(psi)
         assert not verify_automorphism(broken).ok
 
-    def test_factor_compares_the_recomposition_without_a_certificate(self, monkeypatch):
+    def test_factor_refuses_factors_the_certificate_rejects(self, monkeypatch):
         # vee3 has no more pairs than the scan prefix, so verify scans in full
-        # and certifies nothing; factor then compares the factors itself.
+        # and then tries the certificate; factors that do not recompose fail
+        # it, and factor refuses the map rather than return them.
         assert len(VEE3_BLOCK.pairs) <= factor.SCAN_PREFIX_ROWS
         phi = random_factored_automorphism(VEE3_BLOCK, GF5, 0)
         assert factor_automorphism(phi).images() == phi.images()
