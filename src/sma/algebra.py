@@ -401,27 +401,36 @@ class StructMatrix:
         return grid_is_zero(self.rows)
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "n": self.n,
-            "entries": [[self.field.scalar_to_json(v) for v in row] for row in self.rows],
-        }
+        return grid_to_json(self.field, self.rows)
 
     @classmethod
     def from_json(cls, obj, pattern: Relation) -> StructMatrix:
-        if not isinstance(obj, dict) or "field" not in obj or "entries" not in obj:
-            raise ParseError('matrix JSON must be {"field": ..., "n": ..., "entries": [[...], ...]}')
-        field = Field.from_json(obj["field"])
-        entries = obj["entries"]
-        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-            raise ParseError("matrix entries must be a list of rows, each a list")
-        n = json_int(obj.get("n", len(entries)), "matrix size n")
-        if n != pattern.n:
-            raise ParseError(f"matrix size {n} does not match the relation size {pattern.n}")
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise ParseError(f"expected a {n}x{n} entries grid")
-        rows = tuple(tuple(field.parse_scalar(v) for v in row) for row in entries)
+        field, rows = grid_from_json(obj, pattern.n)
         return cls(field, pattern, rows)
+
+
+def grid_to_json(field: Field, grid: Grid) -> dict:
+    return {
+        "field": field.to_json(),
+        "n": len(grid),
+        "entries": [[field.scalar_to_json(v) for v in row] for row in grid],
+    }
+
+
+def grid_from_json(obj, n: int) -> tuple[Field, Grid]:
+    """The field and the n x n grid of matrix JSON, with no pattern check."""
+    if not isinstance(obj, dict) or "field" not in obj or "entries" not in obj:
+        raise ParseError('matrix JSON must be {"field": ..., "n": ..., "entries": [[...], ...]}')
+    field = Field.from_json(obj["field"])
+    entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ParseError("matrix entries must be a list of rows, each a list")
+    size = json_int(obj.get("n", len(entries)), "matrix size n")
+    if size != n:
+        raise ParseError(f"matrix size {size} does not match the relation size {n}")
+    if len(entries) != n or any(len(r) != n for r in entries):
+        raise ParseError(f"expected a {n}x{n} entries grid")
+    return field, tuple(tuple(field.parse_scalar(v) for v in row) for row in entries)
 
 
 def identity_matrix(field: Field, pattern: Relation) -> StructMatrix:

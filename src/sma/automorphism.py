@@ -21,8 +21,10 @@ from .algebra import (
     Grid,
     StructMatrix,
     grid_add,
+    grid_from_json,
     grid_mul,
     grid_scale,
+    grid_to_json,
     identity_matrix,
     invert_grid,
     is_member,
@@ -258,21 +260,13 @@ class BasisImageAutomorphism:
     def to_json(self) -> dict:
         return {
             "images": [
-                [i, j, _grid_json(self.field, self.relation.n, img)]
+                [i, j, grid_to_json(self.field, img)]
                 for (i, j), img in self.images_table
             ]
         }
 
 
 AutomorphismSpec = Union[FactoredAutomorphism, BasisImageAutomorphism]
-
-
-def _grid_json(field: Field, n: int, grid: Grid) -> dict:
-    return {
-        "field": field.to_json(),
-        "n": n,
-        "entries": [[field.scalar_to_json(v) for v in row] for row in grid],
-    }
 
 
 def _check_applicable(phi: AutomorphismSpec, m: StructMatrix) -> None:
@@ -335,17 +329,18 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
             raise ParseError("images must be a list of [i, j, matrix] triples")
         images = {}
         field = None
-        full = Relation.full(relation.n)
         for item in obj["images"]:
             if not isinstance(item, list) or len(item) != 3:
                 raise ParseError(f"malformed image triple {item!r}")
             i, j, mat = item
-            m = StructMatrix.from_json(mat, full)
+            pair = (json_int(i, "image index"), json_int(j, "image index"))
+            if pair in images:
+                raise ParseError(f"image of unit {pair} is given twice")
+            grid_field, images[pair] = grid_from_json(mat, relation.n)
             if field is None:
-                field = m.field
-            elif field != m.field:
+                field = grid_field
+            elif field != grid_field:
                 raise ParseError("images use inconsistent fields")
-            images[(json_int(i, "image index"), json_int(j, "image index"))] = m.rows
         if field is None:
             raise ParseError("images list is empty")
         try:

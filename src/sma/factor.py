@@ -1,12 +1,12 @@
-"""Constructive factorization of automorphisms of block-form structural algebras.
+"""Constructive factorization of automorphisms of structural matrix algebras.
 
-Any automorphism of a block upper triangular structural matrix algebra splits,
-exactly, as inner conjugation after a unit-scaling map after a permutation
-similarity.  This module computes such a splitting:
+Any automorphism of a structural matrix algebra splits, exactly, as inner
+conjugation after a unit-scaling map after a permutation similarity.  This
+module computes such a splitting:
 
-  1. The images of the class idempotents (sums of diagonal units over one
-     class) have their identity diagonal block in exactly one position, which
-     pins a size-preserving bijection of classes.
+  1. The image of each class's first diagonal unit is a rank-one idempotent
+     whose support meets the diagonal block of exactly one class, which pins
+     a size-preserving bijection of classes.
   2. The bijection lifts to a permutation, ascending elements to ascending
      elements within classes; it must preserve the relation.
   3. Dividing out the permutation similarity leaves Theta, an inner map after
@@ -21,14 +21,17 @@ similarity.  This module computes such a splitting:
      s is 1 at each comparability component's minimum element, whose row of A
      so keeps leading entry 1: that fixes the one free scalar per component.
 
-Every choice is deterministic, so factoring the same map twice returns
-identical factors.
+The steps read classes, not positions, so they factor a map over any layout
+of its relation.  factor_automorphism still requires block form, so that the
+factors it returns are the canonical ones.  Every choice is deterministic, so
+factoring the same map twice returns identical factors.
 
 The same splitting certifies automorphisms.  The three factors are
 automorphisms by construction (an invertible conjugator, a transitive scaling,
 a relation-preserving permutation), so a map that equals their recomposition
-on every basis image is one too.  verify_automorphism checks a map that way
-and multiplies pairs of basis images only to name the identity a map breaks.
+on every basis image is one too.  verify_automorphism runs this certificate
+first, and multiplies pairs of basis images only when it fails, to name the
+identity a map breaks.
 """
 
 from __future__ import annotations
@@ -55,14 +58,7 @@ from .automorphism import (
     FactoredAutomorphism,
     is_relation_automorphism,
 )
-from .blockform import (
-    BlockForm,
-    Permutation,
-    build_block_form,
-    consecutive_spans,
-    is_block_form,
-    is_semisimple,
-)
+from .blockform import BlockForm, Permutation, is_block_form, is_semisimple
 from .errors import (
     NonScalarBlockAction,
     NotAutomorphism,
@@ -76,24 +72,17 @@ from .relation import Relation
 from .transitive import TransitiveFn, canonicalize, check_transitive
 
 
-def _diag_block_support(grid: Grid, spans) -> list[int]:
-    out = []
-    for k, (lo, hi) in enumerate(spans):
-        if any(grid[r][c] != 0 for r in range(lo, hi) for c in range(lo, hi)):
-            out.append(k)
-    return out
-
-
 def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False) -> FactoredAutomorphism:
-    """Split a verified automorphism into (conjugator, canonical scaling, permutation).
+    """Split an automorphism into (conjugator, canonical scaling, permutation).
 
-    The relation must already be in block upper triangular form; callers with
-    another layout first normalize with build_block_form and conjugate across
-    (see conjugate_by_block_form).  `assume_verified` skips the automorphism
-    check for callers that have already run it on the same object.  Without
-    it, the check is verify_automorphism's, and the factors returned are the
-    ones its certificate produced, whose recomposition has been compared with
-    phi on every basis image.
+    The relation must already be in block upper triangular form, so that the
+    factors are canonical; callers with another layout first normalize with
+    build_block_form and conjugate across (see conjugate_by_block_form).  The
+    factors returned have been recomposed and compared with phi on every basis
+    image; a map that fails a factor step or that comparison raises
+    NotAutomorphism.  `assume_verified` skips the comparison for callers that
+    have already verified the same map; a failing step then raises its own
+    SmaError.
     """
     if not is_block_form(phi.relation):
         raise NotBlockForm(
@@ -101,41 +90,54 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
         )
     if assume_verified:
         return _factor_steps(phi.relation, phi.field, phi.images())
-    report, certified = _verify(phi)
-    if not report.ok:
-        raise NotAutomorphism(f"{report.check}: {report.detail}")
-    if certified is None:
-        raise NotAutomorphism("the factors do not recompose to the map")
-    return certified
+    return _certificate(phi.relation, phi.field, phi.images())
+
+
+def _certificate(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
+    """Factors whose recomposition equals the map on every basis image, over
+    the map's own layout; NotAutomorphism, with the failing step's message,
+    when a step fails or the factors recompose to another map."""
+    try:
+        factored = _factor_steps(rel, fld, images)
+    except SmaError as exc:
+        raise NotAutomorphism(str(exc)) from exc
+    recomposed = factored.images()
+    if recomposed != images:
+        p = next(p for p in rel.sorted_pairs() if recomposed[p] != images[p])
+        raise NotAutomorphism(f"the factors do not recompose to the map on unit {p}")
+    return factored
 
 
 def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
-    """Steps 1-5 on a map over a block-form relation, given by its basis images.
-    Step 4 checks every unit image against the conjugator, so on a map that is
-    not an automorphism they raise a SmaError."""
+    """Steps 1-5 on a map given by its basis images, over any layout of a
+    quasi-order: step 1 reads one diagonal unit image per class, by class
+    membership rather than position.  factor_automorphism still requires block
+    form, so that its factors stay canonical.  Step 4 checks every unit image
+    against the conjugator, so on a map that is not an automorphism the steps
+    raise a SmaError."""
     part = rel.partition
-    # 0-based half-open row/column range of each class: in block form the
-    # classes are the diagonal blocks, in order
-    spans = [(start - 1, stop - 1) for start, stop in consecutive_spans(part.sizes)]
     n = rel.n
+    zero_row = (fld.zero(),) * n
 
-    # (1) class bijection from the diagonal-block support of idempotent images
+    # (1) class bijection: the image of class k's first diagonal unit meets
+    # the diagonal block of class matched[k] only
     matched: dict[int, int] = {}
     for k, cls in enumerate(part.classes):
-        idem = zero_grid(fld, n)
-        for i in cls:
-            idem = grid_add(fld, idem, images[(i, i)])
-        support = _diag_block_support(idem, spans)
+        img = images[(cls[0], cls[0])]
+        support = [
+            m for m, members in enumerate(part.classes)
+            if any(img[r - 1][c - 1] != 0 for r in members for c in members)
+        ]
         if len(support) != 1:
             raise SizeObstruction(
-                f"idempotent image of class {k} meets {len(support)} diagonal blocks"
+                f"image of unit ({cls[0]},{cls[0]}) meets {len(support)} class diagonal blocks"
             )
         m = support[0]
         if len(part.classes[m]) != len(cls):
             raise SizeObstruction(f"classes {k} and {m} have different sizes")
         matched[k] = m
     if sorted(matched.values()) != list(range(part.p)):
-        raise SizeObstruction("diagonal-block supports do not give a class bijection")
+        raise SizeObstruction("diagonal unit images do not give a class bijection")
 
     # (2) ascending lift: the permutation sends class matched[k] onto class k
     mapping: dict[int, int] = {}
@@ -154,7 +156,7 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     theta = {(i, j): images[(tau(i), tau(j))] for (i, j) in rel.sorted_pairs()}
     r, lead = [], []
     for j in range(1, n + 1):
-        row = next((row for row in theta[(j, j)] if any(v != 0 for v in row)), None)
+        row = next((row for row in theta[(j, j)] if row != zero_row), None)
         if row is None:
             raise NonScalarBlockAction(f"image of unit ({j},{j}) is zero")
         c = next(c for c, v in enumerate(row) if v != 0)
@@ -168,17 +170,17 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
 
     # (4) against R, Theta(E_ij) = h(i,j) (R^-1 e_i)(e_j^T R): read h(i,j) in a
     # row where column i of R^-1 is nonzero and in row j's leading column,
-    # then check the whole image is that outer product
+    # then check the whole image is that outer product, row by row
     pivot = [next(k for k, row in enumerate(r_inv) if row[i] != 0) for i in range(n)]
     hvals: dict[tuple[int, int], object] = {}
     for (i, j) in rel.sorted_pairs():
-        img, k = theta[(i, j)], pivot[i - 1]
+        img, k, r_j = theta[(i, j)], pivot[i - 1], r[j - 1]
         c = fld.div(img[k][lead[j - 1]], r_inv[k][i - 1])
         if c == 0 or i == j and c != fld.one():
             raise NonScalarBlockAction(f"unit ({i},{j}) has scalar {c} against the conjugator")
         for img_row, r_inv_row in zip(img, r_inv):
             x = fld.reduce(c * r_inv_row[i - 1])
-            if any(v != fld.reduce(x * w) for v, w in zip(img_row, r[j - 1])):
+            if img_row != (tuple(fld.reduce(x * w) for w in r_j) if x != 0 else zero_row):
                 raise NonScalarBlockAction(f"image of unit ({i},{j}) is not {c} times the conjugated unit")
         hvals[(i, j)] = c
     h = TransitiveFn.build(rel, fld, hvals)
@@ -201,12 +203,6 @@ class VerifyReport:
     detail: str | None = None
 
 
-# Rows (left operands) of the product scan run before the certificate is
-# tried.  A broken map usually breaks an identity within the first few rows,
-# and that scan prefix costs less than a factorization that fails.
-SCAN_PREFIX_ROWS = 8
-
-
 def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     """Check that phi is an algebra automorphism, and name the first failing
     identity when it is not.
@@ -214,80 +210,51 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     The checks, in the order a failure is reported: in-pattern images, the
     unit-product rule (delta on the middle indices) for every pair of units,
     preservation of the identity, and bijectivity of the induced linear map.
-    After the images' pattern and the first SCAN_PREFIX_ROWS rows of products,
-    a factorization whose recomposition equals phi certifies it; only when
-    that fails does the scan run to the end.
+    After the pattern check, factors whose recomposition equals phi certify
+    it; only when the certificate fails do the other checks run, to name the
+    identity phi breaks.
     """
-    return _verify(phi)[0]
-
-
-def _verify(phi: AutomorphismSpec) -> tuple[VerifyReport, FactoredAutomorphism | None]:
-    """verify_automorphism's report, with the certified factors when the
-    certificate succeeded (over the block form when phi's relation is not in one)."""
     rel, fld = phi.relation, phi.field
     images = phi.images()
     pairs = rel.sorted_pairs()
 
     for p in pairs:
         if not is_member(rel, images[p]):
-            return VerifyReport(False, "pattern", f"image of unit {p} leaves the pattern"), None
+            return VerifyReport(False, "pattern", f"image of unit {p} leaves the pattern")
+
+    try:
+        _certificate(rel, fld, images)
+        return VerifyReport(True)
+    except NotAutomorphism:
+        pass
 
     n = rel.n
     zero = zero_grid(fld, n)
     right: dict[tuple[int, int], SparseRows] = {}  # built on first use: most broken maps fail early
-
-    def scan(rows) -> VerifyReport | None:
-        """The first failing identity image(i,j) * image(k,l), (i,j) in rows."""
-        for (i, j) in rows:
-            left = images[(i, j)]
-            for (k, l) in pairs:
-                b = right.get((k, l))
-                if b is None:
-                    b = right[(k, l)] = sparse_rows(images[(k, l)])
-                expected = images[(i, l)] if j == k else zero
-                if sparse_mul(fld, left, b) != expected:
-                    return VerifyReport(
-                        False,
-                        "multiplicativity",
-                        f"image({i},{j}) * image({k},{l}) != "
-                        + (f"image({i},{l})" if j == k else "0"),
-                    )
-        return None
-
-    failure = scan(pairs[:SCAN_PREFIX_ROWS])
-    if failure is not None:
-        return failure, None
-    certified = _certificate(phi, images)
-    if certified is not None:
-        return VerifyReport(True), certified
-    failure = scan(pairs[SCAN_PREFIX_ROWS:])
-    if failure is not None:
-        return failure, None
+    for (i, j) in pairs:
+        left = images[(i, j)]
+        for (k, l) in pairs:
+            b = right.get((k, l))
+            if b is None:
+                b = right[(k, l)] = sparse_rows(images[(k, l)])
+            expected = images[(i, l)] if j == k else zero
+            if sparse_mul(fld, left, b) != expected:
+                return VerifyReport(
+                    False,
+                    "multiplicativity",
+                    f"image({i},{j}) * image({k},{l}) != " + (f"image({i},{l})" if j == k else "0"),
+                )
 
     total = zero
     for i in range(1, n + 1):
         total = grid_add(fld, total, images[(i, i)])
     if total != identity_grid(fld, n):
-        return VerifyReport(False, "unit", "images of the diagonal units do not sum to the identity"), None
+        return VerifyReport(False, "unit", "images of the diagonal units do not sum to the identity")
 
     coords = [[images[in_pair][r - 1][c - 1] for in_pair in pairs] for (r, c) in pairs]
     if matrix_rank(fld, coords) != len(pairs):
-        return VerifyReport(False, "bijectivity", "induced linear map is not bijective"), None
-    return VerifyReport(True), None
-
-
-def _certificate(phi: AutomorphismSpec, images) -> FactoredAutomorphism | None:
-    """Factors whose recomposition equals phi (moved to block form if needed),
-    or None when factoring fails or recomposes to another map."""
-    try:
-        target = phi
-        if not is_block_form(phi.relation):
-            target = conjugate_by_block_form(phi, build_block_form(phi.relation))
-            images = target.images()
-        factored = _factor_steps(target.relation, target.field, images)
-    except SmaError:
-        return None
-    return factored if factored.images() == images else None
+        return VerifyReport(False, "bijectivity", "induced linear map is not bijective")
+    return VerifyReport(True)
 
 
 def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:

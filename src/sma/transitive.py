@@ -115,7 +115,10 @@ class TransitiveFn:
             if not isinstance(item, list) or len(item) != 3:
                 raise ParseError(f"malformed value triple {item!r}")
             i, j, raw = item
-            vals[(json_int(i, "element"), json_int(j, "element"))] = field.parse_scalar(raw)
+            pair = (json_int(i, "element"), json_int(j, "element"))
+            if pair in vals:
+                raise ParseError(f"value of pair {pair} is given twice")
+            vals[pair] = field.parse_scalar(raw)
         try:
             return cls.build(relation, field, vals)
         except (ValueError, DomainMismatch) as exc:

@@ -305,6 +305,18 @@ class TestExitCodes:
 VEE3_MATRIX = {"field": "Q", "n": 3, "entries": [["1", "0", "2"], ["0", "3", "4"], ["0", "0", "5"]]}
 VEE3_PAIRS = [[1, 1], [1, 3], [2, 2], [2, 3], [3, 3]]
 
+
+def _vee3_images():
+    """The golden vee3_block map as [i, j, matrix] triples."""
+    from sma import Relation, spec_from_json
+
+    rel = Relation.parse((GOLDEN / "vee3_block.json").read_text())
+    phi = spec_from_json(json.loads((GOLDEN / "vee3_block_phi.json").read_text()), rel)
+    return phi.as_basis_images().to_json()["images"]
+
+
+VEE3_ZERO = {"field": "Q", "n": 3, "entries": [["0"] * 3 for _ in range(3)]}
+
 # (subcommand, which argument is replaced, its malformed JSON): each shape used
 # to escape its decoder as a TypeError or ValueError, or was read silently
 MALFORMED_SHAPES = {
@@ -317,6 +329,9 @@ MALFORMED_SHAPES = {
     "image-index-string": ("verify", "phi", {"images": [["x", 1, VEE3_MATRIX]]}),
     "values-number": ("trivial", "fn", {"field": "Q", "values": 5}),
     "value-index-string": ("trivial", "fn", {"field": "Q", "values": [["a", 2, "3"]]}),
+    # a repeated pair used to be read silently, the last value winning
+    "image-repeated": ("verify", "phi", {"images": [[1, 1, VEE3_ZERO], *_vee3_images()]}),
+    "value-repeated": ("trivial", "fn", {"field": "Q", "values": [[1, 3, "2"], [1, 3, "3"]]}),
     "relation-n-float": ("validate", "relation", {"n": 3.5, "pairs": VEE3_PAIRS}),
     "relation-n-bool": ("validate", "relation", {"n": True, "pairs": [[1, 1]]}),
 }
@@ -344,6 +359,18 @@ class TestMalformedShapes:
         code, out, err = run(capsys, "--json", sub, *(paths[a] for a in args))
         assert code == 2, out
         assert err.startswith("error: ")
+
+    def test_empty_images_over_a_large_relation_exit_two_at_once(self, capsys, tmp_path):
+        # images are read as plain n x n grids, with no relation built for them
+        rel = tmp_path / "identity2000.json"
+        rel.write_text(json.dumps({"n": 2000, "pairs": [[i, i] for i in range(1, 2001)]}))
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"images": []}))
+        start = time.monotonic()
+        code, out, err = run(capsys, "--json", "verify", str(rel), str(phi))
+        assert code == 2, out
+        assert "images list is empty" in err
+        assert time.monotonic() - start < 1.0
 
 
 class TestScalarGrammar:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CROWN6_BLOCK_PAIRS, SYM6_BLOCK_PAIRS, SYM6_PAIRS, VEE3_BLOCK_PAIRS
+from conftest import CROWN6_BLOCK_PAIRS, CROWN6_PAIRS, SYM6_BLOCK_PAIRS, SYM6_PAIRS, VEE3_BLOCK_PAIRS, VEE3_PAIRS
 
 import sma.automorphism as automorphism
 import sma.factor as factor
@@ -28,17 +28,21 @@ from sma import (
     StructMatrix,
     TransitiveFn,
     brute_verify,
+    build_block_form,
     compose,
+    conjugate_by_block_form,
     enumerate_quasiorders,
     enumerate_relation_automorphisms,
     factor_automorphism,
     gf,
     identity_automorphism,
     inner_automorphism,
+    is_block_form,
     permutation_similarity,
     verify_automorphism,
 )
 from sma.oracle import random_factored_automorphism, random_invertible
+from sma.relation import transitive_reflexive_closure
 
 GF5 = gf(5)
 FIELDS = (RATIONALS, GF5)
@@ -46,6 +50,8 @@ SYM6 = Relation.from_pairs(6, SYM6_PAIRS)
 SYM6_BLOCK = Relation.from_pairs(6, SYM6_BLOCK_PAIRS)
 VEE3_BLOCK = Relation.from_pairs(3, VEE3_BLOCK_PAIRS)
 CROWN6_BLOCK = Relation.from_pairs(6, CROWN6_BLOCK_PAIRS)
+CROWN6 = Relation.from_pairs(6, CROWN6_PAIRS)
+VEE3 = Relation.from_pairs(3, VEE3_PAIRS)
 TOTAL4 = Relation.from_pairs(4, [(i, j) for i in range(1, 5) for j in range(i, 5)])
 
 DEFECTS = ("perturb", "swap", "off_pattern", "non_unital", "scaled_chain")
@@ -109,6 +115,22 @@ def break_map(defect, phi, rng):
     return BasisImageAutomorphism.from_map(rel, field, images)
 
 
+def random_quasiorder(n, rng):
+    """Two classes of size 2 and singletons, random forward edges closed
+    transitively, labels shuffled until the layout is not block form."""
+    while True:
+        label = rng.sample(range(1, n + 1), n)
+        pairs = [(label[0], label[1]), (label[1], label[0]), (label[2], label[3]), (label[3], label[2])]
+        pairs += [(label[a], label[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.25]
+        rel = transitive_reflexive_closure(Relation.from_pairs(n, pairs))
+        if not is_block_form(rel):
+            return rel
+
+
+def _forbidden(*args):
+    raise AssertionError("verify or factor called a function its certificate path must not call")
+
+
 def failing_row(report, rel):
     """Index of the left operand in a multiplicativity failure's detail."""
     left = report.detail.split(" * ")[0]
@@ -117,11 +139,10 @@ def failing_row(report, rel):
 
 
 class TestAgreesWithFullScan:
-    @pytest.mark.parametrize("prefix_rows", [0, factor.SCAN_PREFIX_ROWS])
-    def test_quasiorder_sweep(self, monkeypatch, prefix_rows):
-        # With no scan prefix every map goes through the certificate first.
-        monkeypatch.setattr(factor, "SCAN_PREFIX_ROWS", prefix_rows)
-        rng = random.Random(355)
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_quasiorder_sweep(self, seed):
+        # Two independent sweeps of random maps; seed 0 is the original one.
+        rng = random.Random(355 + seed)
         outcomes = set()
         for rel in enumerate_quasiorders(4):
             field = FIELDS[rng.randrange(2)]
@@ -151,13 +172,13 @@ class TestAgreesWithFullScan:
                 assert (report.check == "pattern") == (defect == "off_pattern")
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-    def test_failure_past_the_scan_prefix(self, field):
+    def test_failure_in_a_late_row(self, field):
         # SYM6_BLOCK's first 9 pairs span the class {1,2,3}, and every
         # automorphism keeps each class's units inside its own diagonal block,
         # so a defect on the class {4,5} breaks only products of later rows:
-        # the scan resumes after the certificate fails.
-        prefix = SYM6_BLOCK.sorted_pairs()[: factor.SCAN_PREFIX_ROWS]
-        assert all(max(p) <= 3 for p in prefix)
+        # the certificate fails and the scan runs past the first 9 rows.
+        first_rows = SYM6_BLOCK.sorted_pairs()[:9]
+        assert all(max(p) <= 3 for p in first_rows)
         for seed in range(4):
             images = random_factored_automorphism(SYM6_BLOCK, field, seed).images()
             images[(5, 4)] = _scale(field, 2, images[(5, 4)])
@@ -165,7 +186,7 @@ class TestAgreesWithFullScan:
             report = verify_automorphism(broken)
             assert report == brute_verify(broken)
             assert report.check == "multiplicativity"
-            assert failing_row(report, SYM6_BLOCK) >= factor.SCAN_PREFIX_ROWS
+            assert failing_row(report, SYM6_BLOCK) >= len(first_rows)
 
     def test_factors_that_do_not_recompose_certify_nothing(self, monkeypatch):
         # Soundness rests on the recomposition check, not on the factor steps:
@@ -180,10 +201,8 @@ class TestAgreesWithFullScan:
         assert not verify_automorphism(broken).ok
 
     def test_factor_refuses_factors_the_certificate_rejects(self, monkeypatch):
-        # vee3 has no more pairs than the scan prefix, so verify scans in full
-        # and then tries the certificate; factors that do not recompose fail
-        # it, and factor refuses the map rather than return them.
-        assert len(VEE3_BLOCK.pairs) <= factor.SCAN_PREFIX_ROWS
+        # Factors that do not recompose fail the certificate, and factor
+        # refuses the map rather than return them.
         phi = random_factored_automorphism(VEE3_BLOCK, GF5, 0)
         assert factor_automorphism(phi).images() == phi.images()
         wrong = identity_automorphism(VEE3_BLOCK, GF5)
@@ -192,9 +211,8 @@ class TestAgreesWithFullScan:
         with pytest.raises(NotAutomorphism, match="recompose"):
             factor_automorphism(phi)
 
-    def test_unit_and_bijectivity_reached_after_the_certificate(self, monkeypatch):
+    def test_unit_and_bijectivity_reached_after_the_certificate(self):
         # Both maps are multiplicative, so only the checks after the scan fail.
-        monkeypatch.setattr(factor, "SCAN_PREFIX_ROWS", 0)
         zero = ((0,) * 4,) * 4
         units = {(i, j): _set_entry(zero, i - 1, j - 1, 1) for (i, j) in TOTAL4.sorted_pairs()}
         diagonal_only = {p: units[p] if p[0] == p[1] else zero for p in units}
@@ -203,6 +221,51 @@ class TestAgreesWithFullScan:
             phi = BasisImageAutomorphism.from_map(TOTAL4, GF5, images)
             assert verify_automorphism(phi) == brute_verify(phi)
             assert verify_automorphism(phi).check == check
+
+
+class TestCertificateFirst:
+    """A map is accepted only through the certificate, on its own layout."""
+
+    def test_accepted_maps_take_no_product(self, monkeypatch):
+        monkeypatch.setattr(factor, "sparse_mul", _forbidden)
+        rng = random.Random(4)
+        for rel in enumerate_quasiorders(4):
+            field = FIELDS[rng.randrange(2)]
+            taus = enumerate_relation_automorphisms(rel)
+            phi = compose(
+                inner_automorphism(random_invertible(rel, field, rng)),
+                permutation_similarity(rel, taus[rng.randrange(len(taus))], field),
+            )
+            assert verify_automorphism(phi).ok
+        for rel in (SYM6, SYM6_BLOCK, VEE3, VEE3_BLOCK, CROWN6, CROWN6_BLOCK):
+            for field in FIELDS:
+                for seed in range(3):
+                    phi = random_factored_automorphism(rel, field, seed).as_basis_images()
+                    assert verify_automorphism(phi).ok
+
+    def test_verify_does_not_relabel(self, monkeypatch):
+        monkeypatch.setattr(factor, "conjugate_by_block_form", _forbidden)
+        rng = random.Random(8)
+        for rel in (SYM6, CROWN6, random_quasiorder(8, rng)):
+            assert not is_block_form(rel)
+            for seed in range(3):
+                phi = random_factored_automorphism(rel, gf(101), seed).as_basis_images()
+                assert verify_automorphism(phi).ok
+                broken = break_map("perturb", phi, random.Random(seed))
+                assert verify_automorphism(broken) == brute_verify(broken)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_factor_refuses_broken_goldens_without_a_product(self, monkeypatch, field, defect):
+        monkeypatch.setattr(factor, "sparse_mul", _forbidden)
+        for rel in (SYM6_BLOCK, CROWN6_BLOCK, SYM6):
+            for seed in range(3):
+                phi = random_factored_automorphism(rel, field, seed)
+                broken = break_map(defect, phi, random.Random(seed))
+                if not is_block_form(rel):
+                    broken = conjugate_by_block_form(broken, build_block_form(rel))
+                with pytest.raises(NotAutomorphism):
+                    factor_automorphism(broken)
 
 
 class TestFactorOnBrokenMaps:
