@@ -430,7 +430,21 @@ def grid_from_json(obj, n: int) -> tuple[Field, Grid]:
         raise ParseError(f"matrix size {size} does not match the relation size {n}")
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ParseError(f"expected a {n}x{n} entries grid")
-    return field, tuple(tuple(field.parse_scalar(v) for v in row) for row in entries)
+    # Each distinct int or str is decoded once, so equal entries share one
+    # scalar.  Only exact ints and strs are keys: a bool equals and hashes
+    # like 0 or 1, and would find their entry.  A bad value is never stored,
+    # so the first one in row-major order raises, as without the memo.
+    memo: dict = {}
+
+    def scalar(v):
+        if type(v) is not int and type(v) is not str:
+            return field.parse_scalar(v)
+        x = memo.get(v)
+        if x is None:
+            x = memo[v] = field.parse_scalar(v)
+        return x
+
+    return field, tuple(tuple(map(scalar, row)) for row in entries)
 
 
 def identity_matrix(field: Field, pattern: Relation) -> StructMatrix:

@@ -31,17 +31,20 @@ automorphisms by construction (an invertible conjugator, a transitive scaling,
 a relation-preserving permutation), so a map that equals their recomposition
 on every basis image is one too.  verify_automorphism runs this certificate
 first, and multiplies pairs of basis images only when it fails, to name the
-identity a map breaks.
+identity a map breaks.  That failure scan is a rank-one scan: each image is
+split on first use into its canonical form u v^T, so a product of two
+rank-one images is one O(n) dot product, plus an O(n) compare of splits when
+the middle indices agree.  Only an image of higher rank is multiplied out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import (
     Field,
     Grid,
-    SparseRows,
     StructMatrix,
     grid_add,
     identity_grid,
@@ -228,17 +231,35 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     except NotAutomorphism:
         pass
 
+    # The product scan.  Rank-one operands (u v^T)(u' v'^T) = (v.u') u v'^T
+    # cost one O(n) dot, and an O(n) compare of canonical splits when j = k;
+    # an operand of higher rank keeps sparse_mul.  Splits and sparse rows are
+    # built on first use: most broken maps fail early.
     n = rel.n
     zero = zero_grid(fld, n)
-    right: dict[tuple[int, int], SparseRows] = {}  # built on first use: most broken maps fail early
+    split = cache(lambda p: _rank_one(fld, images[p]))
+    right = cache(lambda p: sparse_rows(images[p]))
     for (i, j) in pairs:
-        left = images[(i, j)]
+        a = split((i, j))
         for (k, l) in pairs:
-            b = right.get((k, l))
-            if b is None:
-                b = right[(k, l)] = sparse_rows(images[(k, l)])
-            expected = images[(i, l)] if j == k else zero
-            if sparse_mul(fld, left, b) != expected:
+            b = split((k, l))
+            if a is None or b is None:
+                expected = images[(i, l)] if j == k else zero
+                holds = sparse_mul(fld, images[(i, j)], right((k, l))) == expected
+            else:
+                s = fld.reduce(sum(x * y for x, y in zip(a[1], b[0]) if x and y))
+                if j != k:
+                    holds = not s
+                elif not s:  # the product is zero
+                    c = split((i, l))
+                    holds = c is not None and not c[1]
+                else:  # the product's split is (u, s v'), so image(i,l) must be rank one
+                    c = split((i, l))
+                    holds = (
+                        c is not None and c[0] == a[0]
+                        and c[1] == tuple(fld.reduce(s * x) if x else x for x in b[1])
+                    )
+            if not holds:
                 return VerifyReport(
                     False,
                     "multiplicativity",
@@ -255,6 +276,30 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     if matrix_rank(fld, coords) != len(pairs):
         return VerifyReport(False, "bijectivity", "induced linear map is not bijective")
     return VerifyReport(True)
+
+
+def _rank_one(fld: Field, grid: Grid):
+    """The canonical rank-one split (u, v) of a grid, grid = u v^T: v is its
+    first nonzero row, and u[r] the multiple of v that row r is, so u is 1 at
+    v's row.  Equal rank-one grids have equal splits.  The zero grid splits
+    into two empty rows, so a dot with it costs nothing; None when the rank
+    is above one.  O(n^2), no multiply by a zero."""
+    rows = enumerate(grid)
+    for r0, v in rows:
+        if any(v):
+            break
+    else:
+        return (), ()
+    lead = next(c for c, x in enumerate(v) if x)
+    inv = fld.inv(v[lead])
+    u = [fld.zero()] * len(grid)
+    u[r0] = fld.one()
+    for r, row in rows:
+        if any(row):
+            c = u[r] = fld.reduce(row[lead] * inv)
+            if row != tuple(fld.reduce(c * x) if x else x for x in v):
+                return None
+    return tuple(u), v
 
 
 def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:

@@ -396,6 +396,34 @@ class TestScalarGrammar:
         assert code == 2, out
         assert err.startswith("error: ")
 
+    # Equal scalars in one grid are decoded once; a bool equals and hashes
+    # like 0 or 1, so it must not be handed the value decoded for them.
+    BOOL_AFTER_NUMBER = {"one-true": [1, True, "2"], "zero-false": ["0", False, "2"], "int-zero-false": [0, False, "2"]}
+
+    @pytest.mark.parametrize("row", sorted(BOOL_AFTER_NUMBER))
+    def test_boolean_after_an_equal_matrix_entry_exits_two(self, capsys, tmp_path, row):
+        bad = tmp_path / "matrix.json"
+        entries = [self.BOOL_AFTER_NUMBER[row], ["0", "3", "4"], ["0", "0", "5"]]
+        bad.write_text(json.dumps({**VEE3_MATRIX, "entries": entries}))
+        code, out, err = run(
+            capsys, "--json", "apply",
+            str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json"), str(bad),
+        )
+        assert code == 2, out
+        assert err.startswith("error: ")
+        assert "scalar must be" in err
+
+    @pytest.mark.parametrize("row", sorted(BOOL_AFTER_NUMBER))
+    def test_boolean_after_an_equal_image_entry_exits_two(self, capsys, tmp_path, row):
+        images = _vee3_images()
+        images[0][2]["entries"][0] = self.BOOL_AFTER_NUMBER[row]
+        bad = tmp_path / "phi.json"
+        bad.write_text(json.dumps({"images": images}))
+        code, out, err = run(capsys, "--json", "verify", str(GOLDEN / "vee3_block.json"), str(bad))
+        assert code == 2, out
+        assert err.startswith("error: ")
+        assert "scalar must be" in err
+
 
 class TestJsonFixpoint:
     def test_relation_json_round_trips(self, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import VEE3_BLOCK_PAIRS
 
 from sma import ParseError, Relation, StructMatrix, TransitiveFn, spec_from_json
+from sma.algebra import Field, grid_from_json
 
 VEE3_BLOCK = Relation.from_pairs(3, VEE3_BLOCK_PAIRS)
 FULL3 = Relation.full(3)
@@ -73,3 +74,32 @@ def test_only_parse_errors_escape(name, data):
         decode(obj)
     except ParseError:
         pass
+
+
+def _reference_grid(obj, n):
+    """grid_from_json's answer on a well-shaped grid, one parse_scalar per entry."""
+    field = Field.from_json(obj["field"])
+    return field, tuple(tuple(field.parse_scalar(v) for v in row) for row in obj["entries"])
+
+
+# few distinct values, so most grids repeat entries: equal ints and digit
+# strings, bools beside the ints they equal, and invalid values
+repeated = st.sampled_from(
+    [0, 1, -1, 7, 2**70, "0", "1", "-1", "7", "3/4", "-2/6", "1/0", "x", "", "1.5", "1e3", True, False, None, 1.5, []]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["Q", {"GF": 5}, {"GF": 7}]), n=st.integers(1, 4), data=st.data())
+def test_grid_decoder_matches_one_parse_per_entry(field, n, data):
+    obj = {"field": field, "n": n, "entries": data.draw(_rows(repeated, n))}
+    try:
+        expected = _reference_grid(obj, n)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            grid_from_json(obj, n)
+        assert str(raised.value) == str(exc)
+    else:
+        got = grid_from_json(obj, n)
+        assert got == expected
+        assert [list(map(type, row)) for row in got[1]] == [list(map(type, row)) for row in expected[1]]

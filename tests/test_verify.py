@@ -7,6 +7,7 @@ on broken maps alike.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -41,6 +42,7 @@ from sma import (
     permutation_similarity,
     verify_automorphism,
 )
+from sma.algebra import matrix_rank, sparse_mul
 from sma.oracle import random_factored_automorphism, random_invertible
 from sma.relation import transitive_reflexive_closure
 
@@ -52,7 +54,13 @@ VEE3_BLOCK = Relation.from_pairs(3, VEE3_BLOCK_PAIRS)
 CROWN6_BLOCK = Relation.from_pairs(6, CROWN6_BLOCK_PAIRS)
 CROWN6 = Relation.from_pairs(6, CROWN6_PAIRS)
 VEE3 = Relation.from_pairs(3, VEE3_PAIRS)
-TOTAL4 = Relation.from_pairs(4, [(i, j) for i in range(1, 5) for j in range(i, 5)])
+
+
+def total_order(n):
+    return Relation.from_pairs(n, [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)])
+
+
+TOTAL4 = total_order(4)
 
 DEFECTS = ("perturb", "swap", "off_pattern", "non_unital", "scaled_chain")
 
@@ -125,6 +133,41 @@ def random_quasiorder(n, rng):
         rel = transitive_reflexive_closure(Relation.from_pairs(n, pairs))
         if not is_block_form(rel):
             return rel
+
+
+def _units(rel, field):
+    """The zero grid and each pair's matrix unit."""
+    zero = ((field.zero(),) * rel.n,) * rel.n
+    return zero, {(i, j): _set_entry(zero, i - 1, j - 1, field.one()) for (i, j) in rel.sorted_pairs()}
+
+
+def rank_one_branch_maps(phi, rng):
+    """Maps that reach each branch of the rank-one failure scan, made from an
+    automorphism phi.  Every image is rank one or zero, except in "rank_two",
+    where one perturbed entry makes an image rank two."""
+    rel, field = phi.relation, phi.field
+    images = phi.images()
+    pairs = rel.sorted_pairs()
+    zero, units = _units(rel, field)
+    maps = {
+        # algebra endomorphisms over a partial order: the whole product table holds
+        "diagonal_projection": {p: units[p] if p[0] == p[1] else zero for p in pairs},
+        "zero": {p: zero for p in pairs},
+        "scaled_diagonal": break_map("non_unital", phi, rng).images(),
+    }
+    if len(pairs) > 1:
+        maps["swap"] = break_map("swap", phi, rng).images()
+    if _chains(rel):  # image(i,j) * image(j,k) is rank one, image(i,k) is zero
+        maps["zero_expected"] = {**images, rng.choice(_chains(rel)): zero}
+    candidates = [(p, r, s) for p in pairs for (r, s) in pairs]
+    rng.shuffle(candidates)
+    for p, r, s in candidates:
+        old = images[p][r - 1][s - 1]
+        perturbed = _set_entry(images[p], r - 1, s - 1, field.reduce(old + field.random_nonzero(rng)))
+        if matrix_rank(field, perturbed) == 2:
+            maps["rank_two"] = {**images, p: perturbed}
+            break
+    return {name: BasisImageAutomorphism.from_map(rel, field, m) for name, m in maps.items()}
 
 
 def _forbidden(*args):
@@ -213,14 +256,117 @@ class TestAgreesWithFullScan:
 
     def test_unit_and_bijectivity_reached_after_the_certificate(self):
         # Both maps are multiplicative, so only the checks after the scan fail.
-        zero = ((0,) * 4,) * 4
-        units = {(i, j): _set_entry(zero, i - 1, j - 1, 1) for (i, j) in TOTAL4.sorted_pairs()}
+        zero, units = _units(TOTAL4, GF5)
         diagonal_only = {p: units[p] if p[0] == p[1] else zero for p in units}
         without_4 = {p: zero if 4 in p else units[p] for p in units}
         for images, check in ((diagonal_only, "bijectivity"), (without_4, "unit")):
             phi = BasisImageAutomorphism.from_map(TOTAL4, GF5, images)
             assert verify_automorphism(phi) == brute_verify(phi)
             assert verify_automorphism(phi).check == check
+
+
+class TestRankOneScan:
+    """The failure scan multiplies rank-one images through their (u, v)
+    splits; every report still equals the full scan's."""
+
+    def _check(self, rel, field, seed, monkeypatch):
+        """Every branch map of one random automorphism against brute_verify;
+        the names of the maps that made a dense product, and the checks
+        reported."""
+        calls = []
+        monkeypatch.setattr(factor, "sparse_mul", lambda *a: calls.append(1) or sparse_mul(*a))
+        rng = random.Random(seed)
+        phi = random_factored_automorphism(rel, field, seed)
+        dense, checks = set(), set()
+        for name, psi in rank_one_branch_maps(phi, rng).items():
+            calls.clear()
+            report = verify_automorphism(psi)
+            assert report == brute_verify(psi), (name, rel.sorted_pairs(), field.name, seed)
+            if calls:
+                dense.add(name)
+            checks.add((name, report.check))
+        return dense, checks
+
+    def test_branch_maps_on_the_sweep(self, monkeypatch):
+        dense, checks = set(), set()
+        for k, rel in enumerate(enumerate_quasiorders(4)):
+            for field in FIELDS:
+                d, c = self._check(rel, field, k, monkeypatch)
+                dense |= d
+                checks |= c
+        assert dense == {"rank_two"}  # only an image of rank above one takes sparse_mul
+        assert {("diagonal_projection", "bijectivity"), ("zero", "unit"), ("swap", "multiplicativity"),
+                ("zero_expected", "multiplicativity"), ("scaled_diagonal", "multiplicativity"),
+                ("rank_two", "multiplicativity")} <= checks
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_branch_maps_on_the_goldens(self, monkeypatch, field):
+        for rel in (SYM6_BLOCK, CROWN6_BLOCK, SYM6, CROWN6, VEE3_BLOCK, VEE3):
+            for seed in range(3):
+                dense, checks = self._check(rel, field, seed, monkeypatch)
+                assert dense <= {"rank_two"}
+                # E_ij E_ji = E_ii breaks the projection inside a class of size two or more
+                partial_order = all((j, i) not in rel.pairs for (i, j) in rel.pairs if i != j)
+                assert ("diagonal_projection", "bijectivity" if partial_order else "multiplicativity") in checks
+                assert ("zero", "unit") in checks
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_rank_one_product_against_a_rank_two_image(self, field):
+        # image(1,2) * image(2,3) = E13 is rank one and image(1,3) = E11 + E22
+        # is not, and every product before it holds: image(1,1) = E11 + E22
+        # takes sparse_mul, E13 * E13 has v.u' = 0, E13 * E33 = image(1,2).
+        rel = total_order(3)
+        zero, units = _units(rel, field)
+        p = _set_entry(units[(1, 1)], 1, 1, field.one())
+        images = {(1, 1): p, (1, 2): units[(1, 3)], (1, 3): p, (2, 2): units[(3, 3)],
+                  (2, 3): units[(3, 3)], (3, 3): units[(3, 3)]}
+        phi = BasisImageAutomorphism.from_map(rel, field, images)
+        report = verify_automorphism(phi)
+        assert report == brute_verify(phi)
+        assert report.detail == "image(1,2) * image(2,3) != image(1,3)"
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_vanishing_rank_one_product_against_a_zero_image(self, field):
+        # image(1,2) * image(2,3) = E12 E33 = 0 = image(1,3) holds, with
+        # v.u' = 0 and both operands nonzero; the first product that fails
+        # comes a row later.
+        rel = total_order(3)
+        zero, units = _units(rel, field)
+        images = {**units, (1, 3): zero, (2, 3): units[(3, 3)]}
+        phi = BasisImageAutomorphism.from_map(rel, field, images)
+        report = verify_automorphism(phi)
+        assert report == brute_verify(phi)
+        assert report.detail == "image(2,2) * image(2,3) != image(2,3)"
+
+
+class TestScanBounds:
+    """Rejecting a map costs O(n) per rank-one product."""
+
+    def test_diagonal_projection_of_a_20_element_total_order(self):
+        # an algebra endomorphism: the whole table of 210^2 products holds
+        rel = total_order(20)
+        zero, units = _units(rel, RATIONALS)
+        phi = BasisImageAutomorphism.from_map(
+            rel, RATIONALS, {p: units[p] if p[0] == p[1] else zero for p in rel.sorted_pairs()}
+        )
+        start = time.process_time()
+        report = verify_automorphism(phi)
+        assert time.process_time() - start < 2.0
+        assert report.check == "bijectivity"
+
+    def test_an_early_failure_splits_only_its_operands(self, monkeypatch):
+        # splits are built on first use, so a map broken at image(1,1) splits one image
+        rel, field = total_order(30), gf(101)
+        a = random_invertible(rel, field, random.Random(1))
+        images = inner_automorphism(a).images()
+        images[(1, 1)] = _scale(field, 2, images[(1, 1)])
+        phi = BasisImageAutomorphism.from_map(rel, field, images)
+        calls = []
+        real = factor._rank_one
+        monkeypatch.setattr(factor, "_rank_one", lambda *args: calls.append(1) or real(*args))
+        report = verify_automorphism(phi)
+        assert report.detail == "image(1,1) * image(1,1) != image(1,1)"
+        assert len(calls) == 1
 
 
 class TestCertificateFirst:
