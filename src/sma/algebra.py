@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import FieldMismatch, OffPattern, ParseError, PatternMismatch, Singular
@@ -145,7 +146,7 @@ class Field:
         if isinstance(obj, dict) and set(obj) == {"GF"}:
             char = json_int(obj["GF"], "characteristic")
             try:
-                return cls(char)
+                return gf(char)
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
         raise ParseError(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
@@ -168,7 +169,9 @@ class Field:
 RATIONALS = Field(None)
 
 
+@cache
 def gf(p: int) -> Field:
+    """GF(p), one instance per characteristic, so p is tested for primality once."""
     return Field(p)
 
 

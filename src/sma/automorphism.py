@@ -3,8 +3,8 @@
 An automorphism can be given in factored form (conjugator, scaling function,
 relation permutation, applied right to left) or by its images on the matrix
 units.  Basis images are the universal interchange form; the factored form
-converts on demand and caches only the conjugator's inverse, which its
-construction checks exists.  Conventions, pinned by the tests:
+converts on demand.  Either form caches its certificate (see factor.py), and
+the factored form its conjugator's inverse.  Conventions, pinned by the tests:
 conjugation is B -> A^-1 B A, and a permutation similarity acts entrywise as
 B -> (B[t(i)][t(j)]).
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 from .algebra import (
     Field,
@@ -129,8 +128,27 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
     return tuple(found)
 
 
+class AutomorphismSpec:
+    """Either form of a map; each provides relation, field, images() and apply_grid."""
+
+    @cached_property
+    def certificate(self) -> FactoredAutomorphism | str:
+        """The canonical factors that recompose to this map, or the failing step's
+        message: a str, so no traceback holds this map in a reference cycle."""
+        from .factor import _certify  # deferred: factor imports this module
+
+        return _certify(self.relation, self.field, self.images())
+
+    def apply(self, m: StructMatrix) -> StructMatrix:
+        if m.field != self.field:
+            raise Mismatch(f"matrix over {m.field.name}, map over {self.field.name}")
+        if m.pattern != self.relation:
+            raise Mismatch("matrix and map are constrained by different relations")
+        return StructMatrix(self.field, self.relation, self.apply_grid(m.rows))
+
+
 @dataclass(frozen=True)
-class FactoredAutomorphism:
+class FactoredAutomorphism(AutomorphismSpec):
     """Composite map B -> A^-1 * scale(B[t(i)][t(j)]) * A, right factor first."""
 
     conjugator: StructMatrix
@@ -198,10 +216,6 @@ class FactoredAutomorphism:
         moved = grid_mul(fld, self._conjugator_inverse, tuple(map(tuple, moved)))
         return grid_mul(fld, moved, self.conjugator.rows)
 
-    def apply(self, m: StructMatrix) -> StructMatrix:
-        _check_applicable(self, m)
-        return StructMatrix(self.field, self.relation, self.apply_grid(m.rows))
-
     def as_basis_images(self) -> BasisImageAutomorphism:
         return BasisImageAutomorphism.from_map(self.relation, self.field, self.images())
 
@@ -214,7 +228,7 @@ class FactoredAutomorphism:
 
 
 @dataclass(frozen=True)
-class BasisImageAutomorphism:
+class BasisImageAutomorphism(AutomorphismSpec):
     """Linear map recorded by its matrix-unit images; nothing about it is assumed."""
 
     relation: Relation
@@ -253,10 +267,6 @@ class BasisImageAutomorphism:
                 acc = grid_add(fld, acc, grid_scale(fld, c, img))
         return acc
 
-    def apply(self, m: StructMatrix) -> StructMatrix:
-        _check_applicable(self, m)
-        return StructMatrix(self.field, self.relation, self.apply_grid(m.rows))
-
     def to_json(self) -> dict:
         return {
             "images": [
@@ -264,16 +274,6 @@ class BasisImageAutomorphism:
                 for (i, j), img in self.images_table
             ]
         }
-
-
-AutomorphismSpec = Union[FactoredAutomorphism, BasisImageAutomorphism]
-
-
-def _check_applicable(phi: AutomorphismSpec, m: StructMatrix) -> None:
-    if m.field != phi.field:
-        raise Mismatch(f"matrix over {m.field.name}, map over {phi.field.name}")
-    if m.pattern != phi.relation:
-        raise Mismatch("matrix and map are constrained by different relations")
 
 
 def permutation_similarity(rel: Relation, tau: Permutation, field: Field) -> FactoredAutomorphism:

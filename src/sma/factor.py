@@ -29,12 +29,15 @@ factoring the same map twice returns identical factors.
 The same splitting certifies automorphisms.  The three factors are
 automorphisms by construction (an invertible conjugator, a transitive scaling,
 a relation-preserving permutation), so a map that equals their recomposition
-on every basis image is one too.  verify_automorphism runs this certificate
-first, and multiplies pairs of basis images only when it fails, to name the
-identity a map breaks.  That failure scan is a rank-one scan: each image is
-split on first use into its canonical form u v^T, so a product of two
-rank-one images is one O(n) dot product, plus an O(n) compare of splits when
-the middle indices agree.  Only an image of higher rank is multiplied out.
+on every basis image is one too.  _certify computes this certificate; each
+map object caches it on first use: the factors, or the failing step's message.
+verify_automorphism accepts a certified map at once; only when the
+certificate fails does it check the pattern and multiply pairs of basis
+images, to name the identity a map breaks.  That failure scan is a rank-one
+scan: each image is split on first use into its canonical form u v^T, so a
+product of two rank-one images is one O(n) dot product, plus an O(n) compare
+of splits when the middle indices agree.  Only an image of higher rank is
+multiplied out.
 """
 
 from __future__ import annotations
@@ -81,33 +84,32 @@ def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False)
     The relation must already be in block upper triangular form, so that the
     factors are canonical; callers with another layout first normalize with
     build_block_form and conjugate across (see conjugate_by_block_form).  The
-    factors returned have been recomposed and compared with phi on every basis
-    image; a map that fails a factor step or that comparison raises
-    NotAutomorphism.  `assume_verified` skips the comparison for callers that
-    have already verified the same map; a failing step then raises its own
-    SmaError.
+    factors are phi's cached certificate, recomposed and compared with phi on
+    every basis image; a map that fails a factor step or that comparison
+    raises NotAutomorphism with the failing step's message.  `assume_verified`
+    has no effect.
     """
     if not is_block_form(phi.relation):
         raise NotBlockForm(
             "relation is not in block upper triangular form; normalize it first"
         )
-    if assume_verified:
-        return _factor_steps(phi.relation, phi.field, phi.images())
-    return _certificate(phi.relation, phi.field, phi.images())
+    if isinstance(phi.certificate, str):
+        raise NotAutomorphism(phi.certificate)
+    return phi.certificate
 
 
-def _certificate(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
+def _certify(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism | str:
     """Factors whose recomposition equals the map on every basis image, over
-    the map's own layout; NotAutomorphism, with the failing step's message,
-    when a step fails or the factors recompose to another map."""
+    the map's own layout; the failing step's message when a step fails or the
+    factors recompose to another map."""
     try:
         factored = _factor_steps(rel, fld, images)
     except SmaError as exc:
-        raise NotAutomorphism(str(exc)) from exc
+        return str(exc)
     recomposed = factored.images()
     if recomposed != images:
         p = next(p for p in rel.sorted_pairs() if recomposed[p] != images[p])
-        raise NotAutomorphism(f"the factors do not recompose to the map on unit {p}")
+        return f"the factors do not recompose to the map on unit {p}"
     return factored
 
 
@@ -213,23 +215,20 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     The checks, in the order a failure is reported: in-pattern images, the
     unit-product rule (delta on the middle indices) for every pair of units,
     preservation of the identity, and bijectivity of the induced linear map.
-    After the pattern check, factors whose recomposition equals phi certify
-    it; only when the certificate fails do the other checks run, to name the
-    identity phi breaks.
+    A certified phi (see factor_automorphism) passes them all: the factors'
+    recomposition lies in the pattern.  Only when the certificate fails do
+    the checks run, to name the identity phi breaks.
     """
     rel, fld = phi.relation, phi.field
+    rel.require_quasi_order()
+    if not isinstance(phi.certificate, str):
+        return VerifyReport(True)
+
     images = phi.images()
     pairs = rel.sorted_pairs()
-
     for p in pairs:
         if not is_member(rel, images[p]):
             return VerifyReport(False, "pattern", f"image of unit {p} leaves the pattern")
-
-    try:
-        _certificate(rel, fld, images)
-        return VerifyReport(True)
-    except NotAutomorphism:
-        pass
 
     # The product scan.  Rank-one operands (u v^T)(u' v'^T) = (v.u') u v'^T
     # cost one O(n) dot, and an O(n) compare of canonical splits when j = k;

@@ -83,6 +83,7 @@ def brute_cocycle_rank(rel: Relation) -> int:
     antisymmetry x(j,i) = -x(i,j) has to emerge from the constraints), and the
     coboundary dimension is the rank of the full difference map.
     """
+    rel.require_quasi_order()
     if rel.n > size_bound(BRUTE_RANK_BOUND):
         raise BoundExceeded(f"n = {rel.n} exceeds the brute-force bound")
     variables = rel.off_diagonal_pairs()
@@ -219,6 +220,7 @@ def random_transitive_fn(rel: Relation, field: Field, rng: random.Random) -> Tra
 
 def random_factored_automorphism(rel: Relation, field: Field, seed: int) -> FactoredAutomorphism:
     """Deterministic-in-seed factored automorphism with all three parts random."""
+    rel.require_quasi_order()
     rng = random.Random(seed)
     conjugator = random_invertible(rel, field, rng)
     taus = enumerate_relation_automorphisms(rel)

@@ -31,6 +31,21 @@ class TransitiveFn:
     field: Field
     entries: tuple[tuple[tuple[int, int], Scalar], ...]  # sorted by pair
 
+    def __post_init__(self) -> None:
+        """The domain must be exactly the relation, every value nonzero, and
+        every diagonal value 1."""
+        rel, one = self.relation, self.field.one()
+        rel.require_quasi_order()
+        for (i, j), v in self.entries:
+            if (i, j) not in rel.pairs:
+                raise DomainMismatch(f"value given for ({i},{j}), which is not in the relation")
+            if v == 0:
+                raise ValueError(f"value at ({i},{j}) must be nonzero")
+            if i == j and v != one:
+                raise ValueError(f"diagonal value at ({i},{i}) must be 1")
+        if tuple(p for p, _ in self.entries) != rel.sorted_pairs():
+            raise DomainMismatch("values must cover the relation's pairs once each, in sorted order")
+
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], Scalar]:
         return dict(self.entries)
@@ -50,24 +65,12 @@ class TransitiveFn:
         The domain must be contained in the relation, every value must be
         nonzero, and any explicitly given diagonal value must be 1.
         """
-        relation.require_quasi_order()
-        given: dict[tuple[int, int], Scalar] = {}
+        one = field.one()
+        complete = dict.fromkeys(relation.sorted_pairs(), one)
         items = values.items() if isinstance(values, Mapping) else (values or [])
         for pair, raw in items:
-            i, j = int(pair[0]), int(pair[1])
-            if (i, j) not in relation.pairs:
-                raise DomainMismatch(f"value given for ({i},{j}), which is not in the relation")
-            v = field.element(raw)
-            if v == 0:
-                raise ValueError(f"value at ({i},{j}) must be nonzero")
-            if i == j and v != field.one():
-                raise ValueError(f"diagonal value at ({i},{i}) must be 1")
-            given[(i, j)] = v
-        one = field.one()
-        complete = tuple(
-            (pair, given.get(pair, one)) for pair in relation.sorted_pairs()
-        )
-        return cls(relation, field, complete)
+            complete[(int(pair[0]), int(pair[1]))] = field.element(raw)
+        return cls(relation, field, tuple(sorted(complete.items())))
 
     @classmethod
     def ones(cls, relation: Relation, field: Field) -> TransitiveFn:

@@ -101,6 +101,21 @@ class TestField:
         for field in (RATIONALS, gf(7)):
             assert Field.from_json(field.to_json()) == field
 
+    def test_a_parse_tests_each_characteristic_once(self, monkeypatch):
+        # A GF(101) basis-image spec of a 10-element total order has 55 grids.
+        import sma.algebra as algebra
+        from sma import spec_from_json
+
+        rel = Relation.from_pairs(10, [(i, j) for i in range(1, 11) for j in range(i, 11)])
+        unit = {"field": {"GF": 101}, "n": 10, "entries": [[0] * 10 for _ in range(10)]}
+        spec = {"images": [[i, j, unit] for i, j in rel.sorted_pairs()]}
+        calls = []
+        real = algebra._is_prime
+        monkeypatch.setattr(algebra, "_is_prime", lambda p: calls.append(p) or real(p))
+        gf.cache_clear()
+        spec_from_json(spec, rel)
+        assert calls == [101]
+
 
 class TestStructMatrix:
     def test_off_pattern_entry_rejected(self, vee3):

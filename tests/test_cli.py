@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -226,6 +229,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert "1/0" in err
+
+    # A relation without (1,3) or (3,3), with the unit images of its pairs.
+    # Each command used to fail inside its own lookups (KeyError), or, for
+    # randphi, resample an invertible matrix forever (row 3 is empty); each
+    # runs in its own process so a hang fails the test instead of the run.
+    @pytest.mark.parametrize("sub", [["verify"], ["oracle", "rank"], ["oracle", "randphi"]], ids="-".join)
+    def test_non_quasi_order_exits_one(self, tmp_path, sub):
+        pairs = [[1, 1], [2, 2], [1, 2], [2, 3]]
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({"n": 3, "pairs": pairs}))
+        images = []
+        for i, j in pairs:
+            entries = [["0"] * 3 for _ in range(3)]
+            entries[i - 1][j - 1] = "1"
+            images.append([i, j, {"field": "Q", "n": 3, "entries": entries}])
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"images": images}))
+        argv = [*sub, str(rel)] + ([str(phi)] if sub == ["verify"] else [])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sma.cli", "--json", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "not a quasi-order: missing diagonal pair (3,3)" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_integer_size_bound_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("SMA_MAX_N", "abc")

@@ -79,6 +79,27 @@ class TestCheckTransitive:
         with pytest.raises(ValueError):
             TransitiveFn.build(vee3_block, RATIONALS, {(1, 1): 2})
 
+    def test_constructor_checks_what_build_checks(self, vee3_block):
+        from sma import FactoredAutomorphism, Permutation, identity_matrix
+
+        gf5 = gf(5)
+        zeros = tuple((p, 0) for p in vee3_block.sorted_pairs())
+        with pytest.raises(ValueError, match="nonzero"):
+            TransitiveFn(vee3_block, gf5, zeros)
+        # so no factored map can carry it (it used to construct, and
+        # canonicalize then raised a bare ZeroDivisionError)
+        with pytest.raises(ValueError, match="nonzero"):
+            FactoredAutomorphism(
+                identity_matrix(gf5, vee3_block), TransitiveFn(vee3_block, gf5, zeros), Permutation.identity_perm(3)
+            )
+        ones = TransitiveFn.ones(vee3_block, gf5).entries
+        with pytest.raises(ValueError, match="diagonal"):
+            TransitiveFn(vee3_block, gf5, ((ones[0][0], 2),) + ones[1:])
+        with pytest.raises(DomainMismatch):
+            TransitiveFn(vee3_block, gf5, ones[1:])
+        with pytest.raises(DomainMismatch):
+            TransitiveFn(vee3_block, gf5, ones + (((3, 1), 1),))
+
     def test_pointwise_product_stays_transitive(self, crown6_block):
         rng = random.Random(41)
         for field in (RATIONALS, gf(5)):

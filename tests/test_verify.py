@@ -6,8 +6,11 @@ whole scan.  Their reports must agree field for field, on automorphisms and
 on broken maps alike.
 """
 
+import gc
+import json
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -245,14 +248,15 @@ class TestAgreesWithFullScan:
 
     def test_factor_refuses_factors_the_certificate_rejects(self, monkeypatch):
         # Factors that do not recompose fail the certificate, and factor
-        # refuses the map rather than return them.
+        # refuses the map rather than return them.  phi's certificate is
+        # cached, so the patched steps run on a fresh map with the same seed.
         phi = random_factored_automorphism(VEE3_BLOCK, GF5, 0)
         assert factor_automorphism(phi).images() == phi.images()
         wrong = identity_automorphism(VEE3_BLOCK, GF5)
         assert wrong.images() != phi.images()
         monkeypatch.setattr(factor, "_factor_steps", lambda rel, fld, images: wrong)
         with pytest.raises(NotAutomorphism, match="recompose"):
-            factor_automorphism(phi)
+            factor_automorphism(random_factored_automorphism(VEE3_BLOCK, GF5, 0))
 
     def test_unit_and_bijectivity_reached_after_the_certificate(self):
         # Both maps are multiplicative, so only the checks after the scan fail.
@@ -412,6 +416,74 @@ class TestCertificateFirst:
                     broken = conjugate_by_block_form(broken, build_block_form(rel))
                 with pytest.raises(NotAutomorphism):
                     factor_automorphism(broken)
+
+
+class TestOneCertificatePerMap:
+    """A map caches its certificate: verify and factor on one map object run
+    the factor steps once between them."""
+
+    def _broken(self, seed):
+        phi = random_factored_automorphism(SYM6_BLOCK, GF5, seed)
+        return break_map("perturb", phi, random.Random(seed))
+
+    def test_verify_then_factor_runs_the_steps_once(self, monkeypatch):
+        calls = []
+        real = factor._factor_steps
+        monkeypatch.setattr(factor, "_factor_steps", lambda *a: calls.append(1) or real(*a))
+        accepted = random_factored_automorphism(SYM6_BLOCK, GF5, 0).as_basis_images()
+        assert verify_automorphism(accepted).ok
+        factor_automorphism(accepted)
+        assert len(calls) == 1
+        rejected = self._broken(0)
+        assert not verify_automorphism(rejected).ok
+        with pytest.raises(NotAutomorphism):
+            factor_automorphism(rejected)
+        assert len(calls) == 2
+
+    def test_assume_verified_changes_nothing(self):
+        # Two map objects per case, so each call computes its own certificate.
+        rng = random.Random(93)
+        compared = raised = 0
+        for k, rel in enumerate(r for n in range(2, 5) for r in enumerate_quasiorders(n)):
+            block = build_block_form(rel).permuted
+            field = FIELDS[k % 2]
+            defect = rng.choice(applicable_defects(block))
+            for broken in (False, True):
+                outcomes = []
+                for flag in (False, True):
+                    phi = random_factored_automorphism(block, field, k)
+                    if broken:
+                        phi = break_map(defect, phi, random.Random(k))
+                    try:
+                        outcomes.append(json.dumps(factor_automorphism(phi, assume_verified=flag).to_json()))
+                    except NotAutomorphism as exc:
+                        outcomes.append(("NotAutomorphism", str(exc)))
+                assert outcomes[0] == outcomes[1], (rel.sorted_pairs(), field.name, broken)
+                compared += 1
+                raised += isinstance(outcomes[0], tuple)
+        assert compared > 700 and raised > 300
+
+    def test_a_certified_map_takes_no_pattern_check(self, monkeypatch):
+        monkeypatch.setattr(factor, "is_member", _forbidden)
+        for rel in (SYM6, SYM6_BLOCK, VEE3, CROWN6_BLOCK):
+            for field in FIELDS:
+                assert verify_automorphism(random_factored_automorphism(rel, field, 1).as_basis_images()).ok
+
+    def test_a_rejected_map_is_freed_without_the_cycle_collector(self):
+        # The cache holds the failing step's message, not an exception whose
+        # traceback would reach back to the map.
+        phi = self._broken(1)
+        gc.disable()
+        try:
+            assert not verify_automorphism(phi).ok
+            with pytest.raises(NotAutomorphism):
+                factor_automorphism(phi)
+            assert isinstance(phi.certificate, str)
+            ref = weakref.ref(phi)
+            del phi
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFactorOnBrokenMaps:
