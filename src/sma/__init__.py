@@ -79,7 +79,6 @@ from .relation import (
     ValidationReport,
     condensation,
     equivalence_classes,
-    isolated_classes,
     transitive_reflexive_closure,
     validate,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .algebra import (
     Field,
@@ -183,24 +184,27 @@ class FactoredAutomorphism(AutomorphismSpec):
     def field(self) -> Field:
         return self.conjugator.field
 
-    def images(self) -> dict[tuple[int, int], Grid]:
-        """Image of each matrix unit, computed in one pass (only A^-1 is cached)."""
+    def iter_images(self) -> Iterator[tuple[tuple[int, int], Grid]]:
+        """(pair, image) for each matrix unit in sorted pair order, each image
+        built when it is reached (only A^-1 is cached), so a compare can stop
+        at the first unit that differs."""
         fld, rel = self.field, self.relation
         a = self.conjugator.rows
         a_inv = self._conjugator_inverse
         tau_inv = self.permutation.inverse()
         zero_row = (fld.zero(),) * rel.n
-        out = {}
         for i, j in rel.sorted_pairs():
             bi, bj = tau_inv(i), tau_inv(j)
             c = self.scaling(bi, bj)
             # A^-1 E^{bi,bj} A is the outer product of A^-1's column bi with A's row bj.
             a_row = a[bj - 1]
             column = (fld.reduce(c * a_inv_row[bi - 1]) for a_inv_row in a_inv)
-            out[(i, j)] = tuple(
+            yield (i, j), tuple(
                 tuple(fld.reduce(x * v) for v in a_row) if x != 0 else zero_row for x in column
             )
-        return out
+
+    def images(self) -> dict[tuple[int, int], Grid]:
+        return dict(self.iter_images())
 
     def apply_grid(self, grid: Grid) -> Grid:
         fld, rel = self.field, self.relation

@@ -13,9 +13,10 @@ module computes such a splitting:
      a scaling, so each diagonal unit goes to a rank-one idempotent
      Theta(E_jj) = (A^-1 e_j)(e_j^T A), whose nonzero rows are row j of A up to
      a scalar.  Row j of the conjugator R is its first nonzero row, scaled so
-     the leading entry is 1; R must be invertible.
-  4. Each unit image must be h(i,j) (R^-1 e_i)(e_j^T R), with h(i,j) read off
-     one entry; h is 1 on the diagonal units and transitive.
+     the leading entry is 1.
+  4. Each unit image is h(i,j) (R^-1 e_i)(e_j^T R), so h(i,j) is one entry
+     of Theta(E_ij) over one entry of Theta(E_ii), both in the row R_i was
+     read from: no R^-1 is needed, and h is 1 on the diagonal units.
   5. h splits into a coboundary s(i)/s(j), folded into the conjugator as
      A = diag(1/s) R, and the canonical (forest-normalized) scaling function.
      s is 1 at each comparability component's minimum element, whose row of A
@@ -26,11 +27,14 @@ of its relation.  factor_automorphism still requires block form, so that the
 factors it returns are the canonical ones.  Every choice is deterministic, so
 factoring the same map twice returns identical factors.
 
-The same splitting certifies automorphisms.  The three factors are
-automorphisms by construction (an invertible conjugator, a transitive scaling,
-a relation-preserving permutation), so a map that equals their recomposition
-on every basis image is one too.  _certify computes this certificate; each
-map object caches it on first use: the factors, or the failing step's message.
+The same splitting certifies automorphisms.  The steps only read the factors
+off the images; the factors' constructors are the one place they are checked
+(an invertible conjugator, a transitive scaling, a relation-preserving
+permutation), so they are automorphisms, and a map that equals their
+recomposition on every basis image is one too.  _certify computes this
+certificate, comparing the recomposition unit by unit and stopping at the
+first that differs; each map object caches it on first use: the factors, or
+the failing step's message.
 verify_automorphism accepts a certified map at once; only when the
 certificate fails does it check the pattern and multiply pairs of basis
 images, to name the identity a map breaks.  That failure scan is a rank-one
@@ -51,7 +55,6 @@ from .algebra import (
     StructMatrix,
     grid_add,
     identity_grid,
-    invert_grid,
     is_member,
     matrix_rank,
     sparse_mul,
@@ -71,11 +74,10 @@ from .errors import (
     NotBlockForm,
     NotSemisimple,
     SizeObstruction,
-    Singular,
     SmaError,
 )
 from .relation import Relation
-from .transitive import TransitiveFn, canonicalize, check_transitive
+from .transitive import TransitiveFn, canonicalize
 
 
 def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False) -> FactoredAutomorphism:
@@ -106,10 +108,9 @@ def _certify(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> 
         factored = _factor_steps(rel, fld, images)
     except SmaError as exc:
         return str(exc)
-    recomposed = factored.images()
-    if recomposed != images:
-        p = next(p for p in rel.sorted_pairs() if recomposed[p] != images[p])
-        return f"the factors do not recompose to the map on unit {p}"
+    for p, img in factored.iter_images():  # stops at the first unit that differs
+        if img != images[p]:
+            return f"the factors do not recompose to the map on unit {p}"
     return factored
 
 
@@ -117,9 +118,10 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     """Steps 1-5 on a map given by its basis images, over any layout of a
     quasi-order: step 1 reads one diagonal unit image per class, by class
     membership rather than position.  factor_automorphism still requires block
-    form, so that its factors stay canonical.  Step 4 checks every unit image
-    against the conjugator, so on a map that is not an automorphism the steps
-    raise a SmaError."""
+    form, so that its factors stay canonical.  The steps read rather than
+    check: on a map that is not an automorphism they raise a SmaError, from a
+    step or from the factors' constructor, or return factors that recompose
+    to another map, which _certify's compare refuses."""
     part = rel.partition
     n = rel.n
     zero_row = (fld.zero(),) * n
@@ -156,42 +158,35 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
         )
 
     # (3) divide out the permutation: Theta = phi o P_(tau^-1) is a unit lookup.
-    # Row j of the conjugator R is the first nonzero row of Theta(E_jj), scaled
-    # so its leading entry, in column lead[j], is 1
+    # Row j of the conjugator R is the first nonzero row of Theta(E_jj), row
+    # k[j], scaled by scale[j] so its leading entry, in column lead[j], is 1
     theta = {(i, j): images[(tau(i), tau(j))] for (i, j) in rel.sorted_pairs()}
-    r, lead = [], []
+    r, k, lead, scale = [], [], [], []
     for j in range(1, n + 1):
-        row = next((row for row in theta[(j, j)] if row != zero_row), None)
-        if row is None:
+        img = theta[(j, j)]
+        row_k = next((x for x, row in enumerate(img) if row != zero_row), None)
+        if row_k is None:
             raise NonScalarBlockAction(f"image of unit ({j},{j}) is zero")
+        row = img[row_k]
         c = next(c for c, v in enumerate(row) if v != 0)
-        scale = fld.inv(row[c])
-        r.append(tuple(fld.reduce(v * scale) for v in row))
+        s = fld.inv(row[c])
+        r.append(tuple(fld.reduce(v * s) for v in row))
+        k.append(row_k)
         lead.append(c)
-    try:
-        r_inv = invert_grid(fld, r)
-    except Singular as exc:
-        raise NonScalarBlockAction("rows read off the diagonal unit images are not invertible") from exc
+        scale.append(s)
 
-    # (4) against R, Theta(E_ij) = h(i,j) (R^-1 e_i)(e_j^T R): read h(i,j) in a
-    # row where column i of R^-1 is nonzero and in row j's leading column,
-    # then check the whole image is that outer product, row by row
-    pivot = [next(k for k, row in enumerate(r_inv) if row[i] != 0) for i in range(n)]
+    # (4) Theta(E_ij) = h(i,j) (R^-1 e_i)(e_j^T R) has entry h(i,j) (R^-1)[k][i]
+    # in row k and column lead[j], and (R^-1)[k[i]][i] = Theta(E_ii)[k[i]][lead[i]]
+    # = 1/scale[i], so h(i,j) is one entry times scale[i] (and 1 when i = j).
+    # Nothing is checked here: the factors' constructors check them, and
+    # _certify compares their recomposition with the map
     hvals: dict[tuple[int, int], object] = {}
     for (i, j) in rel.sorted_pairs():
-        img, k, r_j = theta[(i, j)], pivot[i - 1], r[j - 1]
-        c = fld.div(img[k][lead[j - 1]], r_inv[k][i - 1])
-        if c == 0 or i == j and c != fld.one():
-            raise NonScalarBlockAction(f"unit ({i},{j}) has scalar {c} against the conjugator")
-        for img_row, r_inv_row in zip(img, r_inv):
-            x = fld.reduce(c * r_inv_row[i - 1])
-            if img_row != (tuple(fld.reduce(x * w) for w in r_j) if x != 0 else zero_row):
-                raise NonScalarBlockAction(f"image of unit ({i},{j}) is not {c} times the conjugated unit")
+        c = fld.reduce(theta[(i, j)][k[i - 1]][lead[j - 1]] * scale[i - 1])
+        if c == 0:  # TransitiveFn refuses a zero value with ValueError
+            raise NonScalarBlockAction(f"unit ({i},{j}) has scalar 0 against the conjugator")
         hvals[(i, j)] = c
     h = TransitiveFn.build(rel, fld, hvals)
-    report = check_transitive(h)
-    if not report.ok:
-        raise NonScalarBlockAction(f"unit scalars are not transitive: {report.violations[0]}")
 
     # (5) canonicalize, folding the coboundary into the conjugator: A = diag(1/s) R
     scaling_vec, g_canonical = canonicalize(h)

@@ -368,11 +368,6 @@ def _condensation(rel: Relation) -> CondensationDAG:
     return CondensationDAG(tuple(above))
 
 
-def isolated_classes(dag: CondensationDAG) -> frozenset[int]:
-    """Classes comparable to no other class."""
-    return dag.isolated
-
-
 # ---------------------------------------------------------------------------
 # comparability graph and its canonical spanning forest
 
@@ -390,19 +385,14 @@ def comparability_edges(rel: Relation) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(edges))
 
 
-def spanning_forest(rel: Relation) -> Forest:
-    """Deterministic spanning forest of the comparability graph, computed once
-    per relation.
+def _forest(rel: Relation) -> Forest:
+    """Deterministic spanning forest of the comparability graph (Relation.forest).
 
     Edges are taken greedily in descending (i,j) order, so the pairs left out
     of the forest (where free cocycle parameters live) are the
     lexicographically earliest ones.  Each component is rooted at its minimum
     vertex and traversed breadth-first for propagation.
     """
-    return rel.forest
-
-
-def _forest(rel: Relation) -> Forest:
     n = rel.n
     parent_uf = list(range(n + 1))
 

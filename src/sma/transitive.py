@@ -19,8 +19,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import DomainMismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
-from .relation import Relation, capped_violations, json_int
-from .relation import Forest, comparability_edges, spanning_forest  # noqa: F401  (re-exported)
+from .relation import Forest, Relation, capped_violations, json_int
 
 
 @dataclass(frozen=True)

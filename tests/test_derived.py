@@ -28,7 +28,6 @@ from sma import (
     equivalence_classes,
     factor_automorphism,
     gf,
-    isolated_classes,
     random_factored_automorphism,
     spec_from_json,
     validate,
@@ -121,7 +120,7 @@ def test_structure_matches_the_definitions_on_small_quasiorders():
             tuple(sorted(b for a2, b in edges if a2 == a)) for a in range(part.p)
         )
         touched = {a for e in edges for a in e}
-        assert isolated_classes(dag) == frozenset(k for k in range(part.p) if k not in touched)
+        assert dag.isolated == frozenset(k for k in range(part.p) if k not in touched)
         count += 1
     assert count == 389
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sma import RATIONALS, Relation, Singular, cocycle_rank, enumerate_quasiorders, gf
 from sma.algebra import Echelon, identity_grid, invert_grid, matrix_rank
 from sma.relation import transitive_reflexive_closure
-from sma.transitive import CocycleBasis, _primitive_integer, spanning_forest
+from sma.transitive import CocycleBasis, _primitive_integer
 
 GF101 = gf(101)
 
@@ -108,7 +108,7 @@ def dense_cocycle_rank(rel):
             if any(v != 0 for v in row):
                 rows.append(row)
     solution_dim = nvars - (len(dense_rref(RATIONALS, rows)[1]) if rows else 0)
-    forest = spanning_forest(rel)
+    forest = rel.forest
     coboundary_dim = rel.n - len(forest.components)
     normalized_rows = list(rows)
     for i, j in sorted(forest.tree_edges):

@@ -8,7 +8,6 @@ from sma import (
     Relation,
     condensation,
     equivalence_classes,
-    isolated_classes,
     transitive_reflexive_closure,
     validate,
 )
@@ -182,16 +181,16 @@ class TestCondensation:
 class TestIsolated:
     def test_sym6_all_isolated(self, sym6):
         part = equivalence_classes(sym6)
-        assert isolated_classes(condensation(sym6, part)) == frozenset({0, 1, 2})
+        assert condensation(sym6, part).isolated == frozenset({0, 1, 2})
 
     def test_crown6_none_isolated(self, crown6):
         part = equivalence_classes(crown6)
-        assert isolated_classes(condensation(crown6, part)) == frozenset()
+        assert condensation(crown6, part).isolated == frozenset()
 
     def test_single_class_is_isolated(self):
         rel = Relation.full(3)
         part = equivalence_classes(rel)
-        assert isolated_classes(condensation(rel, part)) == frozenset({0})
+        assert condensation(rel, part).isolated == frozenset({0})
 
 
 class TestParsing:

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from conftest import CROWN6_BLOCK_PAIRS, CROWN6_PAIRS, SYM6_BLOCK_PAIRS, SYM6_PAIRS, VEE3_BLOCK_PAIRS, VEE3_PAIRS
 
+import sma.algebra as algebra
 import sma.automorphism as automorphism
 import sma.factor as factor
+import sma.transitive as transitive
 from sma import (
     RATIONALS,
     BasisImageAutomorphism,
@@ -484,6 +486,50 @@ class TestOneCertificatePerMap:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestEachFactCheckedOnce:
+    """The factor steps only read the factors, FactoredAutomorphism's
+    constructor checks them, and _certify's compare checks the recomposition."""
+
+    def _count(self, monkeypatch, name):
+        """Calls of `name` through every sma module that binds it."""
+        calls = []
+        for module in (algebra, automorphism, factor, transitive):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
+        return calls
+
+    def test_a_valid_map_inverts_and_checks_transitivity_once(self, monkeypatch):
+        for rel, field in ((CROWN6_BLOCK, GF5), (SYM6, RATIONALS), (total_order(8), gf(101))):
+            phi = random_factored_automorphism(rel, field, 3).as_basis_images()
+            inversions = self._count(monkeypatch, "invert_grid")
+            transitivity = self._count(monkeypatch, "check_transitive")
+            assert verify_automorphism(phi).ok
+            assert (len(inversions), len(transitivity)) == (1, 1)
+            monkeypatch.undo()
+
+    def test_a_map_broken_at_its_first_unit_builds_one_recomposed_image(self, monkeypatch):
+        # image(1,1) alone scaled by 2 leaves h transitive (every h(1,j) is
+        # halved), so only the compare refuses it, at the first unit
+        rel, field = total_order(30), gf(101)
+        images = inner_automorphism(random_invertible(rel, field, random.Random(1))).images()
+        images[(1, 1)] = _scale(field, 2, images[(1, 1)])
+        phi = BasisImageAutomorphism.from_map(rel, field, images)
+        built = []
+        real = FactoredAutomorphism.iter_images
+
+        def counting(self):
+            for pair, image in real(self):
+                built.append(pair)
+                yield pair, image
+
+        monkeypatch.setattr(FactoredAutomorphism, "iter_images", counting)
+        assert not verify_automorphism(phi).ok
+        assert built == [(1, 1)]
+        with pytest.raises(NotAutomorphism, match=r"unit \(1, 1\)"):
+            factor_automorphism(phi)
 
 
 class TestFactorOnBrokenMaps:
