@@ -45,9 +45,7 @@ from .errors import (
     InvalidOverride,
     InvalidRelation,
     Mismatch,
-    NonScalarBlockAction,
     NotAutomorphism,
-    NotBlockForm,
     NotRelationAutomorphism,
     NotSemisimple,
     NotTransitive,
@@ -55,7 +53,6 @@ from .errors import (
     ParseError,
     PatternMismatch,
     Singular,
-    SizeObstruction,
     SmaError,
 )
 from .factor import (

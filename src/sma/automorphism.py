@@ -135,9 +135,12 @@ class AutomorphismSpec:
     @cached_property
     def certificate(self) -> FactoredAutomorphism | str:
         """The canonical factors that recompose to this map, or the failing step's
-        message: a str, so no traceback holds this map in a reference cycle."""
+        message: a str, so no traceback holds this map in a reference cycle.
+        Raises InvalidRelation, caching nothing, unless the relation is a
+        quasi-order."""
         from .factor import _certify  # deferred: factor imports this module
 
+        self.relation.require_quasi_order()
         return _certify(self.relation, self.field, self.images())
 
     def apply(self, m: StructMatrix) -> StructMatrix:

@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain errors (invalid relation, failed verification,
-singular matrix, ...), 2 usage or parse errors.  `--json` switches every
-subcommand to machine-readable output.
+singular matrix, ...) or a standard output pipe whose reader closed it
+before the output was written, 2 usage or parse errors.  No exit prints a
+traceback.  `--json` switches every subcommand to machine-readable output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -255,7 +257,7 @@ def _cmd_factor(args) -> int:
     phi = spec_from_json(_load_json(args.phi), rel)
     bf = build_block_form(rel)
     relabelled = not bf.pi.is_identity()
-    if relabelled:
+    if relabelled:  # factor_automorphism takes any layout; this prints the paper's block form
         phi = conjugate_by_block_form(phi, bf)
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
     payload = factored.to_json()
@@ -411,10 +413,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+        return code
     except SmaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

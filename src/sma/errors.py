@@ -53,20 +53,8 @@ class NotAutomorphism(SmaError):
     """Map is not an algebra automorphism."""
 
 
-class NotBlockForm(SmaError):
-    """Relation is not in block upper triangular form."""
-
-
 class NotSemisimple(SmaError):
     """Relation is not symmetric, so the algebra is not semisimple."""
-
-
-class SizeObstruction(SmaError):
-    """No size-preserving bijection between diagonal blocks exists."""
-
-
-class NonScalarBlockAction(SmaError):
-    """Reduced map does not act by scalars on the matrix-unit basis."""
 
 
 class BoundExceeded(SmaError):

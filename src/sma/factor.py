@@ -23,8 +23,9 @@ module computes such a splitting:
      so keeps leading entry 1: that fixes the one free scalar per component.
 
 The steps read classes, not positions, so they factor a map over any layout
-of its relation.  factor_automorphism still requires block form, so that the
-factors it returns are the canonical ones.  Every choice is deterministic, so
+of its relation, and the factors are over that same relation: in block form
+they are the paper's factors, and `sma factor` relabels into block form
+before it factors, for presentation.  Every choice is deterministic, so
 factoring the same map twice returns identical factors.
 
 The same splitting certifies automorphisms.  The steps only read the factors
@@ -61,21 +62,9 @@ from .algebra import (
     sparse_rows,
     zero_grid,
 )
-from .automorphism import (
-    AutomorphismSpec,
-    BasisImageAutomorphism,
-    FactoredAutomorphism,
-    is_relation_automorphism,
-)
-from .blockform import BlockForm, Permutation, is_block_form, is_semisimple
-from .errors import (
-    NonScalarBlockAction,
-    NotAutomorphism,
-    NotBlockForm,
-    NotSemisimple,
-    SizeObstruction,
-    SmaError,
-)
+from .automorphism import AutomorphismSpec, BasisImageAutomorphism, FactoredAutomorphism
+from .blockform import BlockForm, Permutation, is_semisimple
+from .errors import Mismatch, NotAutomorphism, NotSemisimple, SmaError
 from .relation import Relation
 from .transitive import TransitiveFn, canonicalize
 
@@ -83,18 +72,13 @@ from .transitive import TransitiveFn, canonicalize
 def factor_automorphism(phi: AutomorphismSpec, *, assume_verified: bool = False) -> FactoredAutomorphism:
     """Split an automorphism into (conjugator, canonical scaling, permutation).
 
-    The relation must already be in block upper triangular form, so that the
-    factors are canonical; callers with another layout first normalize with
-    build_block_form and conjugate across (see conjugate_by_block_form).  The
-    factors are phi's cached certificate, recomposed and compared with phi on
-    every basis image; a map that fails a factor step or that comparison
-    raises NotAutomorphism with the failing step's message.  `assume_verified`
-    has no effect.
+    The factors are phi's cached certificate, over phi's own relation in
+    whatever layout it has, and their recomposition has been compared with
+    phi on every basis image.  A relation that is not a quasi-order raises
+    InvalidRelation, naming its first violation; a map that fails a factor
+    step or that comparison raises NotAutomorphism with the failing step's
+    message.  `assume_verified` has no effect.
     """
-    if not is_block_form(phi.relation):
-        raise NotBlockForm(
-            "relation is not in block upper triangular form; normalize it first"
-        )
     if isinstance(phi.certificate, str):
         raise NotAutomorphism(phi.certificate)
     return phi.certificate
@@ -117,11 +101,11 @@ def _certify(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> 
 def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
     """Steps 1-5 on a map given by its basis images, over any layout of a
     quasi-order: step 1 reads one diagonal unit image per class, by class
-    membership rather than position.  factor_automorphism still requires block
-    form, so that its factors stay canonical.  The steps read rather than
-    check: on a map that is not an automorphism they raise a SmaError, from a
-    step or from the factors' constructor, or return factors that recompose
-    to another map, which _certify's compare refuses."""
+    membership rather than position, and the factors are over the same
+    layout.  The steps read rather than check: on a map that is not an
+    automorphism they raise NotAutomorphism, or the factors' constructor
+    raises another SmaError, or they return factors that recompose to
+    another map, which _certify's compare refuses."""
     part = rel.partition
     n = rel.n
     zero_row = (fld.zero(),) * n
@@ -136,15 +120,15 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
             if any(img[r - 1][c - 1] != 0 for r in members for c in members)
         ]
         if len(support) != 1:
-            raise SizeObstruction(
+            raise NotAutomorphism(
                 f"image of unit ({cls[0]},{cls[0]}) meets {len(support)} class diagonal blocks"
             )
         m = support[0]
         if len(part.classes[m]) != len(cls):
-            raise SizeObstruction(f"classes {k} and {m} have different sizes")
+            raise NotAutomorphism(f"classes {k} and {m} have different sizes")
         matched[k] = m
     if sorted(matched.values()) != list(range(part.p)):
-        raise SizeObstruction("diagonal unit images do not give a class bijection")
+        raise NotAutomorphism("diagonal unit images do not give a class bijection")
 
     # (2) ascending lift: the permutation sends class matched[k] onto class k
     mapping: dict[int, int] = {}
@@ -152,21 +136,23 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
         for src, dst in zip(part.classes[m], part.classes[k]):
             mapping[src] = dst
     tau = Permutation.from_mapping(n, mapping)
-    if not is_relation_automorphism(rel, tau):
+
+    # (3) divide out the permutation: Theta = phi o P_(tau^-1) is a unit lookup,
+    # which misses exactly when tau does not preserve the relation.  Row j of
+    # the conjugator R is the first nonzero row of Theta(E_jj), row k[j],
+    # scaled by scale[j] so its leading entry, in column lead[j], is 1
+    try:
+        theta = {(i, j): images[(tau(i), tau(j))] for (i, j) in rel.sorted_pairs()}
+    except KeyError:
         raise NotAutomorphism(
             f"class bijection lifts to {tau.cycle_notation()}, which does not preserve the relation"
-        )
-
-    # (3) divide out the permutation: Theta = phi o P_(tau^-1) is a unit lookup.
-    # Row j of the conjugator R is the first nonzero row of Theta(E_jj), row
-    # k[j], scaled by scale[j] so its leading entry, in column lead[j], is 1
-    theta = {(i, j): images[(tau(i), tau(j))] for (i, j) in rel.sorted_pairs()}
+        ) from None
     r, k, lead, scale = [], [], [], []
     for j in range(1, n + 1):
         img = theta[(j, j)]
         row_k = next((x for x, row in enumerate(img) if row != zero_row), None)
         if row_k is None:
-            raise NonScalarBlockAction(f"image of unit ({j},{j}) is zero")
+            raise NotAutomorphism(f"image of unit ({j},{j}) is zero")
         row = img[row_k]
         c = next(c for c, v in enumerate(row) if v != 0)
         s = fld.inv(row[c])
@@ -184,7 +170,7 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     for (i, j) in rel.sorted_pairs():
         c = fld.reduce(theta[(i, j)][k[i - 1]][lead[j - 1]] * scale[i - 1])
         if c == 0:  # TransitiveFn refuses a zero value with ValueError
-            raise NonScalarBlockAction(f"unit ({i},{j}) has scalar 0 against the conjugator")
+            raise NotAutomorphism(f"unit ({i},{j}) has scalar 0 against the conjugator")
         hvals[(i, j)] = c
     h = TransitiveFn.build(rel, fld, hvals)
 
@@ -212,13 +198,13 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     preservation of the identity, and bijectivity of the induced linear map.
     A certified phi (see factor_automorphism) passes them all: the factors'
     recomposition lies in the pattern.  Only when the certificate fails do
-    the checks run, to name the identity phi breaks.
+    the checks run, to name the identity phi breaks.  A relation that is not
+    a quasi-order raises InvalidRelation.
     """
-    rel, fld = phi.relation, phi.field
-    rel.require_quasi_order()
     if not isinstance(phi.certificate, str):
         return VerifyReport(True)
 
+    rel, fld = phi.relation, phi.field
     images = phi.images()
     pairs = rel.sorted_pairs()
     for p in pairs:
@@ -308,7 +294,7 @@ def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:
 def conjugate_by_block_form(phi: AutomorphismSpec, bf: BlockForm) -> BasisImageAutomorphism:
     """Transport a map over bf.source to the relabelled algebra over bf.permuted."""
     if phi.relation != bf.source:
-        raise NotAutomorphism("map is not over the block form's source relation")
+        raise Mismatch("map is not over the block form's source relation")
     pi, pi_inv = bf.pi, bf.pi.inverse()
     n = bf.source.n
     images = phi.images()

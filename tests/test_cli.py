@@ -234,7 +234,9 @@ class TestExitCodes:
     # Each command used to fail inside its own lookups (KeyError), or, for
     # randphi, resample an invertible matrix forever (row 3 is empty); each
     # runs in its own process so a hang fails the test instead of the run.
-    @pytest.mark.parametrize("sub", [["verify"], ["oracle", "rank"], ["oracle", "randphi"]], ids="-".join)
+    @pytest.mark.parametrize(
+        "sub", [["verify"], ["factor"], ["oracle", "rank"], ["oracle", "randphi"]], ids="-".join
+    )
     def test_non_quasi_order_exits_one(self, tmp_path, sub):
         pairs = [[1, 1], [2, 2], [1, 2], [2, 3]]
         rel = tmp_path / "rel.json"
@@ -246,7 +248,7 @@ class TestExitCodes:
             images.append([i, j, {"field": "Q", "n": 3, "entries": entries}])
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps({"images": images}))
-        argv = [*sub, str(rel)] + ([str(phi)] if sub == ["verify"] else [])
+        argv = [*sub, str(rel)] + ([str(phi)] if sub in (["verify"], ["factor"]) else [])
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
@@ -256,6 +258,23 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         assert "not a quasi-order: missing diagonal pair (3,3)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # the pipe's only reader is closed before the child starts, so its
+        # first write to stdout fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sma.cli", "--json", "validate", str(GOLDEN / "sym6.json")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=30,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_non_integer_size_bound_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("SMA_MAX_N", "abc")

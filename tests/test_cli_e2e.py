@@ -1,11 +1,13 @@
-"""End to end through the CLI, in process: generated relation, map and matrix
-files through `sma --json verify|factor|apply`.
+"""End to end through the CLI, in process: generated relation, map, matrix
+and function files through every `sma --json` subcommand but `oracle`.
 
 The maps are random automorphisms over every quasi-order with n <= 4, with a
-few entries overwritten, in or out of the pattern.  Every run keeps the exit
-code contract (0 success, 1 domain error, 2 parse or usage error) with no
-exception escaping, and verify exits 0 exactly when the full product scan
-accepts the map.
+few entries overwritten, in or out of the pattern, run through `verify`,
+`factor` and `apply`; verify exits 0 exactly when the full product scan
+accepts the map.  The relation-only subcommands and `trivial` take any
+relation with n <= 4, quasi-order or not, with a drawn `--class-order` or
+function.  Every run keeps the exit code contract (0 success, 1 domain
+error, 2 parse or usage error) with no exception escaping.
 """
 
 import json
@@ -14,13 +16,27 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sma import RATIONALS, BasisImageAutomorphism, brute_verify, enumerate_quasiorders, gf
+from sma import RATIONALS, BasisImageAutomorphism, Relation, brute_verify, enumerate_quasiorders, gf
 from sma.cli import main
 from sma.oracle import random_factored_automorphism, random_in_pattern
 
 RELATIONS = [rel for n in range(1, 5) for rel in enumerate_quasiorders(n)]
 FIELDS = (RATIONALS, gf(5))
 entry_edits = st.tuples(st.integers(0, 99), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+any_relation = st.integers(1, 4).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(1, n), st.integers(1, n))).map(
+        lambda pairs: Relation.from_pairs(n, pairs)
+    )
+)
+class_order_text = st.lists(st.integers(0, 5), max_size=5).map(lambda ks: ",".join(map(str, ks)))
+
+
+def _run(capsys, argv):
+    code = main(["--json", *argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    return code
 
 
 def _set_entry(grid, r, s, value):
@@ -63,9 +79,45 @@ def test_verify_factor_and_apply_keep_the_exit_code_contract(
     codes = {}
     for cmd, *files in (("verify", "relation", "phi"), ("factor", "relation", "phi"),
                         ("apply", "relation", "phi", "matrix")):
-        codes[cmd] = main(["--json", cmd, *(paths[f] for f in files)])
-        err = capsys.readouterr().err
-        assert codes[cmd] in (0, 1, 2), (cmd, err)
-        assert "Traceback" not in err
+        codes[cmd] = _run(capsys, [cmd, *(paths[f] for f in files)])
     assert (codes["verify"] == 0) == brute_verify(phi).ok
     assert codes["factor"] == codes["verify"]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    rel=any_relation,
+    close_reflexive=st.booleans(),
+    field=st.sampled_from(FIELDS),
+    values=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)), max_size=6),
+    data=st.data(),
+)
+def test_relation_subcommands_keep_the_exit_code_contract(
+    tmp_path, capsys, rel, close_reflexive, field, values, data
+):
+    if rel.validation.ok:  # an order of every class, admissible or not, as often as any list
+        p = rel.partition.p
+        orders = st.permutations(range(1, p + 1)).map(lambda ks: ",".join(map(str, ks))) | class_order_text
+    else:
+        orders = class_order_text
+    class_order = data.draw(st.none() | orders, label="class_order")
+    fn = {
+        "field": field.to_json(),
+        "values": [[i, j, field.scalar_to_json(field.element(v))] for i, j, v in values],
+    }
+    paths = {}
+    for name, obj in (("relation", rel.to_json()), ("fn", fn)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as f:
+            json.dump(obj, f)
+    flags = ["--close-reflexive"] if close_reflexive else []
+    order = [] if class_order is None else ["--class-order", class_order]
+    for cmd, *extra in (
+        ["validate"], ["classes"], ["semisimple"], ["autos"], ["transrank"],
+        ["blockform", *order], ["pattern", *order], ["trivial", paths["fn"]],
+    ):
+        _run(capsys, [cmd, paths["relation"], *extra, *flags])

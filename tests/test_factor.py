@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from conftest import CROWN6_BLOCK_PAIRS, SYM6_BLOCK_PAIRS, VEE3_BLOCK_PAIRS
 
+import sma.automorphism as automorphism
 import sma.factor as factor
 from sma import (
+    InvalidRelation,
+    Mismatch,
     NotAutomorphism,
-    NotBlockForm,
     NotSemisimple,
     Permutation,
     RATIONALS,
@@ -29,8 +31,10 @@ from sma import (
     identity_automorphism,
     identity_matrix,
     inner_automorphism,
+    is_block_form,
     matrix_unit,
     permutation_similarity,
+    verify_automorphism,
 )
 from sma.algebra import Echelon, grid_mul, grid_scale, invert_grid
 from sma.automorphism import BasisImageAutomorphism
@@ -125,9 +129,51 @@ class TestSemisimple:
 
 
 class TestGuards:
-    def test_relation_must_be_in_block_form(self, sym6):
-        with pytest.raises(NotBlockForm):
-            factor_automorphism(identity_automorphism(sym6, RATIONALS))
+    def test_any_layout_factors_over_its_own_relation(self, monkeypatch, sym6, crown6, vee3):
+        calls = []
+        real = factor._factor_steps
+        monkeypatch.setattr(factor, "_factor_steps", lambda *a: calls.append(1) or real(*a))
+        for rel in (sym6, crown6, vee3):
+            assert not is_block_form(rel)
+            for field in (RATIONALS, gf(5)):
+                for seed in range(3):
+                    phi = random_factored_automorphism(rel, field, seed).as_basis_images()
+                    calls.clear()
+                    assert verify_automorphism(phi).ok
+                    factored = factor_automorphism(phi)
+                    assert len(calls) == 1
+                    assert factored.relation == rel and factored.scaling.relation == rel
+                    assert equal_as_maps(factored, phi)
+
+    def test_non_quasi_order_raises_invalid_relation(self):
+        rel = Relation.from_pairs(3, [(1, 1), (2, 2), (1, 2), (2, 3)])
+        zero = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))
+        phi = BasisImageAutomorphism.from_map(rel, RATIONALS, {p: zero for p in rel.pairs})
+        for _ in range(2):  # nothing is cached, so a second call raises too
+            with pytest.raises(InvalidRelation, match=r"not a quasi-order: missing diagonal pair \(3,3\)"):
+                factor_automorphism(phi)
+
+    def test_each_certificate_checks_tau_once(self, monkeypatch, crown6):
+        calls = []
+        real = automorphism.is_relation_automorphism
+        monkeypatch.setattr(automorphism, "is_relation_automorphism", lambda *a: calls.append(1) or real(*a))
+        for field in (RATIONALS, gf(101)):
+            for seed in range(3):
+                phi = random_factored_automorphism(crown6, field, seed).as_basis_images()
+                calls.clear()
+                assert verify_automorphism(phi).ok
+                factor_automorphism(phi)
+                assert len(calls) == 1
+
+    def test_tau_that_breaks_the_relation_is_refused(self, vee3_block):
+        # images of the identity map with the units of the two minimal
+        # elements exchanged and the rest kept: the class bijection swaps 1
+        # and 3, which sends the pair (1,3) to (3,1), not a pair
+        units = {p: matrix_unit(vee3_block, RATIONALS, *p).rows for p in vee3_block.sorted_pairs()}
+        images = {**units, (1, 1): units[(3, 3)], (3, 3): units[(1, 1)]}
+        phi = BasisImageAutomorphism.from_map(vee3_block, RATIONALS, images)
+        with pytest.raises(NotAutomorphism, match=r"class bijection lifts to \(1 3\), which does not preserve"):
+            factor_automorphism(phi)
 
     def test_non_automorphism_rejected(self, vee3_block):
         zero = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))
@@ -140,6 +186,12 @@ class TestGuards:
 
 
 class TestBlockFormTransport:
+    def test_map_over_another_relation_is_a_mismatch(self, sym6, crown6):
+        # the map is an automorphism; only the relations differ
+        phi = random_factored_automorphism(crown6, gf(5), 0)
+        with pytest.raises(Mismatch, match="source relation"):
+            conjugate_by_block_form(phi, build_block_form(sym6))
+
     def test_factor_after_normalization(self, sym6):
         # a map over the unnormalized relation, moved across the relabelling and back
         rng = random.Random(97)
