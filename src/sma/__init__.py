@@ -20,6 +20,7 @@ from .automorphism import (
     enumerate_relation_automorphisms,
     equal_as_maps,
     identity_automorphism,
+    induced_automorphism,
     inner_automorphism,
     is_relation_automorphism,
     permutation_similarity,
@@ -40,8 +41,6 @@ from .blockform import (
 )
 from .errors import (
     BoundExceeded,
-    DomainMismatch,
-    FieldMismatch,
     InvalidOverride,
     InvalidRelation,
     Mismatch,
@@ -51,7 +50,6 @@ from .errors import (
     NotTransitive,
     OffPattern,
     ParseError,
-    PatternMismatch,
     Singular,
     SmaError,
 )
@@ -89,7 +87,6 @@ from .transitive import (
     check_transitive,
     coboundary,
     cocycle_rank,
-    induced_automorphism,
     triviality_witness,
 )
 

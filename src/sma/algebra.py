@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import FieldMismatch, OffPattern, ParseError, PatternMismatch, Singular
+from .errors import Mismatch, OffPattern, ParseError, Singular
 from .relation import Relation, json_int
 
 Scalar = Union[Fraction, int]
@@ -321,10 +321,8 @@ def invert_grid(field: Field, a: Grid) -> Grid:
     return tuple(tuple(ech.rows[i].get(n + j, zero) for j in range(n)) for i in range(n))
 
 
-def is_member(rel: Relation, rows: Union[Grid, "StructMatrix"]) -> bool:
+def is_member(rel: Relation, rows: Grid) -> bool:
     """True iff every entry outside the relation's pairs is zero."""
-    if isinstance(rows, StructMatrix):
-        rows = rows.rows
     n = len(rows)
     if n != rel.n:
         return False
@@ -373,9 +371,9 @@ class StructMatrix:
 
     def _check_compatible(self, other: StructMatrix) -> None:
         if self.field != other.field:
-            raise FieldMismatch(f"{self.field.name} vs {other.field.name}")
+            raise Mismatch(f"{self.field.name} vs {other.field.name}")
         if self.pattern != other.pattern:
-            raise PatternMismatch("matrices are constrained by different relations")
+            raise Mismatch("matrices are constrained by different relations")
 
     def __add__(self, other: StructMatrix) -> StructMatrix:
         self._check_compatible(other)

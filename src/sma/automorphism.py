@@ -1,4 +1,4 @@
-"""Algebra automorphisms: permutation similarities, inner maps, and basis images.
+"""Algebra automorphisms: permutation similarities, scalings, inner maps, basis images.
 
 An automorphism can be given in factored form (conjugator, scaling function,
 relation permutation, applied right to left) or by its images on the matrix
@@ -285,9 +285,14 @@ class BasisImageAutomorphism(AutomorphismSpec):
 
 def permutation_similarity(rel: Relation, tau: Permutation, field: Field) -> FactoredAutomorphism:
     """The map B -> (B[tau(i)][tau(j)]), for a relation-preserving permutation."""
-    if not is_relation_automorphism(rel, tau):
-        raise NotRelationAutomorphism(f"{tau.cycle_notation()} does not preserve the relation")
     return FactoredAutomorphism(identity_matrix(field, rel), TransitiveFn.ones(rel, field), tau)
+
+
+def induced_automorphism(g: TransitiveFn) -> FactoredAutomorphism:
+    """The map scaling each matrix unit by g's value on its pair, for a transitive g."""
+    return FactoredAutomorphism(
+        identity_matrix(g.field, g.relation), g, Permutation.identity_perm(g.relation.n)
+    )
 
 
 def inner_automorphism(a: StructMatrix) -> FactoredAutomorphism:
@@ -298,9 +303,7 @@ def inner_automorphism(a: StructMatrix) -> FactoredAutomorphism:
 
 
 def identity_automorphism(rel: Relation, field: Field) -> FactoredAutomorphism:
-    return FactoredAutomorphism(
-        identity_matrix(field, rel), TransitiveFn.ones(rel, field), Permutation.identity_perm(rel.n)
-    )
+    return induced_automorphism(TransitiveFn.ones(rel, field))
 
 
 def compose(outer: AutomorphismSpec, inner: AutomorphismSpec) -> BasisImageAutomorphism:

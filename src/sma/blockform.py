@@ -237,7 +237,9 @@ def block_pattern(bf: BlockForm) -> BlockPattern:
 
 
 def is_semisimple(rel: Relation) -> bool:
-    """True iff the relation is symmetric, i.e. the block form is block diagonal."""
+    """True iff the quasi-order is symmetric, i.e. the block form is block
+    diagonal; InvalidRelation unless `rel` is a quasi-order."""
+    rel.require_quasi_order()
     return all((j, i) in rel.pairs for i, j in rel.pairs)
 
 

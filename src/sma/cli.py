@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 domain errors (invalid relation, failed verification,
 singular matrix, ...) or a standard output pipe whose reader closed it
 before the output was written, 2 usage or parse errors.  No exit prints a
-traceback.  `--json` switches every subcommand to machine-readable output.
+traceback.  Every subcommand but `validate` refuses a relation that is not a
+quasi-order (exit 1).  `--json` switches every subcommand to machine-readable
+output.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ def _load_json(path: str):
 MAX_CLOSE_REFLEXIVE_N = 100_000
 
 
-def _load_relation(path: str, close_reflexive: bool) -> Relation:
+def _load_relation(path: str, close_reflexive: bool, require_quasi_order: bool = True) -> Relation:
+    """The relation argument, after --close-reflexive; unless told otherwise,
+    InvalidRelation when it is not a quasi-order."""
     rel = Relation.parse(_read_text(path))
     if close_reflexive:
         if rel.n > MAX_CLOSE_REFLEXIVE_N:
@@ -69,6 +73,8 @@ def _load_relation(path: str, close_reflexive: bool) -> Relation:
         missing = {(i, i) for i in range(1, rel.n + 1)} - rel.pairs
         if missing:
             rel = Relation(rel.n, rel.pairs | missing)
+    if require_quasi_order:
+        rel.require_quasi_order()
     return rel
 
 
@@ -95,7 +101,7 @@ def _load_block_form(args) -> BlockForm:
 
 
 def _cmd_validate(args) -> int:
-    rel = _load_relation(args.relation, args.close_reflexive)
+    rel = _load_relation(args.relation, args.close_reflexive, require_quasi_order=False)
     report = validate(rel)
     payload = {
         "ok": report.ok,

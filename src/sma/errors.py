@@ -17,24 +17,12 @@ class InvalidOverride(SmaError):
     """Class order override is not an admissible linear extension."""
 
 
-class FieldMismatch(SmaError):
-    """Operands belong to different scalar fields."""
-
-
-class PatternMismatch(SmaError):
-    """Operands are constrained by different relations."""
-
-
 class OffPattern(SmaError):
     """A matrix entry is nonzero outside the governing relation."""
 
 
 class Singular(SmaError):
     """Matrix has no inverse."""
-
-
-class DomainMismatch(SmaError):
-    """Values are missing for some relation pairs, or given for pairs outside it."""
 
 
 class NotTransitive(SmaError):
@@ -46,7 +34,8 @@ class NotRelationAutomorphism(SmaError):
 
 
 class Mismatch(SmaError):
-    """Objects built over different relations or fields were combined."""
+    """Operands disagree: they are over different fields or relations, or
+    values are missing for some relation pairs or given for pairs outside it."""
 
 
 class NotAutomorphism(SmaError):

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainMismatch, NotTransitive, ParseError
+from .errors import Mismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
 from .relation import Forest, Relation, capped_violations, json_int
 
@@ -37,13 +37,13 @@ class TransitiveFn:
         rel.require_quasi_order()
         for (i, j), v in self.entries:
             if (i, j) not in rel.pairs:
-                raise DomainMismatch(f"value given for ({i},{j}), which is not in the relation")
+                raise Mismatch(f"value given for ({i},{j}), which is not in the relation")
             if v == 0:
                 raise ValueError(f"value at ({i},{j}) must be nonzero")
             if i == j and v != one:
                 raise ValueError(f"diagonal value at ({i},{i}) must be 1")
         if tuple(p for p, _ in self.entries) != rel.sorted_pairs():
-            raise DomainMismatch("values must cover the relation's pairs once each, in sorted order")
+            raise Mismatch("values must cover the relation's pairs once each, in sorted order")
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], Scalar]:
@@ -87,7 +87,7 @@ class TransitiveFn:
 
     def pointwise_mul(self, other: TransitiveFn) -> TransitiveFn:
         if self.relation != other.relation or self.field != other.field:
-            raise DomainMismatch("pointwise product requires the same relation and field")
+            raise Mismatch("pointwise product requires the same relation and field")
         vals = {p: self.field.reduce(v * other._lookup[p]) for p, v in self.entries}
         return TransitiveFn.build(self.relation, self.field, vals)
 
@@ -123,7 +123,7 @@ class TransitiveFn:
             vals[pair] = field.parse_scalar(raw)
         try:
             return cls.build(relation, field, vals)
-        except (ValueError, DomainMismatch) as exc:
+        except (ValueError, Mismatch) as exc:
             raise ParseError(str(exc)) from exc
 
 
@@ -250,24 +250,21 @@ def _tree_path_to_root(v: int, parents: dict[int, int]) -> list[int]:
 def triviality_witness(g: TransitiveFn) -> Union[ScalingVector, ViolatingCycle]:
     """Either a scaling s with g(i,j) = s(i)/s(j) everywhere, or a violating cycle.
 
-    Propagates a candidate scaling along the spanning forest; the first
-    off-forest pair (in sorted order) that disagrees yields a closed walk
-    through the tree whose oriented product differs from 1.
+    Reads canonicalize: s is its scaling, and the first pair (in sorted
+    order) where the canonical part is not 1 closes a walk through the
+    spanning forest.  The coboundary of s cancels around the closed walk and
+    the canonical part is 1 on every forest edge, so the walk's oriented
+    product is the canonical value at that pair.
     """
     g.require_transitive()
-    rel, fld = g.relation, g.field
-    forest = rel.forest
-    s = _propagate_scaling(g, forest)
-    bad_pair = None
-    for (i, j), v in g.entries:
-        if i != j and fld.div(s[i - 1], s[j - 1]) != v:
-            bad_pair = (i, j)
-            break
-    if bad_pair is None:
-        return ScalingVector(fld, s)
+    s, canonical = canonicalize(g)
+    one = g.field.one()
+    bad = next(((pair, v) for pair, v in canonical.entries if v != one), None)
+    if bad is None:
+        return s
 
-    i, j = bad_pair
-    parents = {child: parent for parent, child in forest.order}
+    (i, j), product = bad
+    parents = {child: parent for parent, child in g.relation.forest.order}
     path_i = _tree_path_to_root(i, parents)
     path_j = _tree_path_to_root(j, parents)
     shared = 0
@@ -280,14 +277,6 @@ def triviality_witness(g: TransitiveFn) -> Union[ScalingVector, ViolatingCycle]:
     walk.extend(path_j[1 : len(path_j) - shared + 1])        # j up to the meeting vertex
     down = list(reversed(path_i[: len(path_i) - shared + 1]))  # meeting vertex back to i
     walk.extend(down[1:])
-
-    product = fld.one()
-    for u, v in zip(walk, walk[1:]):
-        if (u, v) in rel.pairs:
-            product = fld.reduce(product * g(u, v))
-        else:
-            product = fld.reduce(product * fld.inv(g(v, u)))
-    assert product != fld.one(), "cycle construction must exhibit the obstruction"
     return ViolatingCycle(tuple(walk), product)
 
 
@@ -383,19 +372,3 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
     rank = len(vectors)
     assert rank == solution_dim - coboundary_dim, "forest normalization lost dimensions"
     return CocycleBasis(rank, all_pairs, tuple(vectors))
-
-
-def induced_automorphism(g: TransitiveFn):
-    """The algebra automorphism scaling each matrix unit by g's value on its pair."""
-    g.require_transitive()
-    from .automorphism import BasisImageAutomorphism  # deferred: automorphism imports this module
-
-    fld = g.field
-    n = g.relation.n
-    zero = fld.zero()
-    images = {}
-    for (i, j), v in g.entries:
-        grid = [[zero] * n for _ in range(n)]
-        grid[i - 1][j - 1] = v
-        images[(i, j)] = tuple(tuple(row) for row in grid)
-    return BasisImageAutomorphism.from_map(g.relation, fld, images)

@@ -7,10 +7,9 @@ import pytest
 
 from sma import (
     Field,
-    FieldMismatch,
+    Mismatch,
     OffPattern,
     ParseError,
-    PatternMismatch,
     RATIONALS,
     Relation,
     Singular,
@@ -179,9 +178,9 @@ class TestStructMatrix:
 
     def test_mismatched_operands_rejected(self, vee3, vee3_block):
         a = identity_matrix(RATIONALS, vee3)
-        with pytest.raises(PatternMismatch):
+        with pytest.raises(Mismatch):
             a * identity_matrix(RATIONALS, vee3_block)
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(Mismatch):
             a * identity_matrix(gf(5), vee3)
 
 

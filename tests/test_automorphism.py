@@ -6,6 +6,8 @@ import pytest
 from sma import (
     BasisImageAutomorphism,
     BoundExceeded,
+    Mismatch,
+    NotRelationAutomorphism,
     Permutation,
     RATIONALS,
     Relation,
@@ -96,6 +98,12 @@ class TestPermutationSimilarity:
         twice = compose(P, P)
         assert equal_as_maps(twice, identity_automorphism(vee3_block, RATIONALS))
 
+    def test_constructor_refuses_a_permutation(self, vee3_block):
+        with pytest.raises(NotRelationAutomorphism, match="does not preserve the relation"):
+            permutation_similarity(vee3_block, Permutation(3, (1, 3, 2)), RATIONALS)
+        with pytest.raises(Mismatch, match="permutation size"):
+            permutation_similarity(vee3_block, Permutation.identity_perm(4), RATIONALS)
+
     def test_composition_convention(self, sym6):
         # applying P_a then P_b equals the similarity of b-then-a
         autos = enumerate_relation_automorphisms(sym6)
@@ -170,7 +178,7 @@ class TestComposeAndApply:
 
     def test_apply_matches_stored_images(self, crown6_block):
         g = TransitiveFn.build(crown6_block, RATIONALS, {(1, 4): 2})
-        G = induced_automorphism(g)
+        G = induced_automorphism(g).as_basis_images()
         for (i, j) in crown6_block.sorted_pairs():
             unit = matrix_unit(crown6_block, RATIONALS, i, j)
             assert G.apply(unit).rows == G.image(i, j)
@@ -245,6 +253,6 @@ class TestSpecJson:
 
     def test_basis_images_round_trip(self, vee3_block):
         g = TransitiveFn.build(vee3_block, RATIONALS, {(1, 3): Fraction(1, 2)})
-        phi = induced_automorphism(g)
+        phi = induced_automorphism(g).as_basis_images()
         again = spec_from_json(phi.to_json(), vee3_block)
         assert equal_as_maps(phi, again)

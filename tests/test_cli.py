@@ -259,6 +259,36 @@ class TestExitCodes:
         assert "not a quasi-order: missing diagonal pair (3,3)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # Symmetric but not transitive: (1,3) and (3,1) are missing.
+    @pytest.mark.parametrize("sub", [
+        ["classes"], ["blockform"], ["pattern"], ["semisimple"], ["autos"], ["transrank"],
+        ["trivial", "fn"], ["verify", "phi"], ["apply", "phi", "matrix"], ["factor", "phi"],
+        ["oracle", "autos"], ["oracle", "rank"], ["oracle", "randphi"],
+    ], ids="-".join)
+    def test_every_subcommand_refuses_a_symmetric_non_quasi_order(self, capsys, tmp_path, sub):
+        pairs = [[1, 1], [2, 2], [3, 3], [1, 2], [2, 1], [2, 3], [3, 2]]
+        units = []
+        for i, j in pairs:
+            entries = [["0"] * 3 for _ in range(3)]
+            entries[i - 1][j - 1] = "1"
+            units.append([i, j, {"field": "Q", "n": 3, "entries": entries}])
+        identity = [["1" if r == c else "0" for c in range(3)] for r in range(3)]
+        files = {
+            "relation": {"n": 3, "pairs": pairs},
+            "fn": {"field": "Q", "values": []},
+            "phi": {"images": units},
+            "matrix": {"field": "Q", "n": 3, "entries": identity},
+        }
+        paths = {name: tmp_path / f"{name}.json" for name in files}
+        for name, obj in files.items():
+            paths[name].write_text(json.dumps(obj))
+        command = sub[:2] if sub[0] == "oracle" else sub[:1]
+        operands = [str(paths[name]) for name in sub[len(command):]]
+        code, out, err = run(capsys, "--json", *command, str(paths["relation"]), *operands)
+        assert code == 1, out
+        assert "not a quasi-order: pairs (1,2) and (2,3) are present but (1,3) is missing" in err
+        assert "Traceback" not in err
+
     def test_closed_stdout_exits_one_without_a_traceback(self):
         # the pipe's only reader is closed before the child starts, so its
         # first write to stdout fails with EPIPE

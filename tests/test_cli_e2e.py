@@ -1,12 +1,13 @@
 """End to end through the CLI, in process: generated relation, map, matrix
-and function files through every `sma --json` subcommand but `oracle`.
+and function files through every `sma --json` subcommand.
 
 The maps are random automorphisms over every quasi-order with n <= 4, with a
 few entries overwritten, in or out of the pattern, run through `verify`,
 `factor` and `apply`; verify exits 0 exactly when the full product scan
-accepts the map.  The relation-only subcommands and `trivial` take any
-relation with n <= 4, quasi-order or not, with a drawn `--class-order` or
-function.  Every run keeps the exit code contract (0 success, 1 domain
+accepts the map.  The relation-only subcommands, the relation oracles and
+`trivial` take any relation with n <= 4, quasi-order or not, with a drawn
+`--class-order` or function; all but `validate` exit 1 when the relation,
+after `--close-reflexive`, is not a quasi-order.  Every run keeps the exit code contract (0 success, 1 domain
 error, 2 parse or usage error) with no exception escaping.
 """
 
@@ -115,9 +116,17 @@ def test_relation_subcommands_keep_the_exit_code_contract(
         with open(paths[name], "w") as f:
             json.dump(obj, f)
     flags = ["--close-reflexive"] if close_reflexive else []
+    closed = rel.pairs | {(i, i) for i in range(1, rel.n + 1)} if close_reflexive else rel.pairs
+    refused = not Relation.from_pairs(rel.n, closed).validation.ok
     order = [] if class_order is None else ["--class-order", class_order]
+    _run(capsys, ["validate", paths["relation"], *flags])
     for cmd, *extra in (
-        ["validate"], ["classes"], ["semisimple"], ["autos"], ["transrank"],
+        ["classes"], ["semisimple"], ["autos"], ["transrank"],
         ["blockform", *order], ["pattern", *order], ["trivial", paths["fn"]],
+        ["oracle", "autos"], ["oracle", "rank"], ["oracle", "randphi"],
     ):
-        _run(capsys, [cmd, paths["relation"], *extra, *flags])
+        command = [cmd, *extra] if cmd == "oracle" else [cmd]
+        operands = [] if cmd == "oracle" else extra
+        code = _run(capsys, [*command, paths["relation"], *operands, *flags])
+        if refused:  # every subcommand but validate refuses a non-quasi-order
+            assert code == 1, (command, sorted(closed))
