@@ -51,7 +51,7 @@ def is_relation_automorphism(rel: Relation, tau: Permutation) -> bool:
     tau maps pairs to pairs injectively, so it suffices that it maps the
     relation into itself."""
     if tau.n != rel.n:
-        raise ValueError("permutation size does not match the relation")
+        raise Mismatch("permutation size does not match the relation")
     return all((tau(i), tau(j)) in rel.pairs for i, j in rel.pairs)
 
 
@@ -67,66 +67,116 @@ def size_bound(default: int) -> int:
 
 
 def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permutation, ...]:
-    """All relation automorphisms, in lexicographic order of the image tuple.
+    """All automorphisms of the quasi-order rel, in lexicographic order of the image tuple.
 
-    Backtracking search; candidate images must preserve in-degree, out-degree,
-    and class size, and every partial assignment is checked both ways against
-    the already-placed elements.
+    Every automorphism is exactly one product u_1 . u_2 . ... . u_n of one
+    element per level of a stabilizer chain (Sims 1970; see `_transversals`),
+    whose searches visit no more nodes than one backtracking search over the
+    whole group.  The listing then costs |Aut(R)| products of O(n) each, plus
+    one sort of the image tuples.  It can hold n! maps, so `bound` (default:
+    the SMA_MAX_N environment variable, else 10) limits n; beyond it
+    BoundExceeded is raised.
     """
     n = rel.n
     if bound is None:
         bound = size_bound(DEFAULT_ENUMERATION_BOUND)
     if n > int(bound):
         raise BoundExceeded(f"n = {n} exceeds the enumeration bound (set SMA_MAX_N to raise it)")
-    part = rel.partition
-    signature = {
-        i: (len(rel.successors(i)), len(rel.predecessors(i)), len(part.classes[part.class_of(i)]))
-        for i in range(1, n + 1)
-    }
-    candidates = {
-        i: tuple(j for j in range(1, n + 1) if signature[j] == signature[i])
-        for i in range(1, n + 1)
-    }
+    images = [tuple(range(1, n + 1))]
+    for level in reversed(_transversals(rel)):
+        # products u . p of this level's u and the later levels' p; the identity,
+        # first in the level, contributes `images` itself.  A leading 0 makes u[x] u(x).
+        padded = [(0,) + u for u in level[1:]]
+        images += [tuple(map(u.__getitem__, p)) for u in padded for p in images]
+    images.sort()
+    return tuple(Permutation(n, image) for image in images)
 
+
+def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:
+    """A stabilizer chain of Aut(rel) with base 1..n: for each base point i, the
+    images of one automorphism per point j of i's orbit under the maps fixing
+    1..i-1, sending i to j, with the identity first.
+
+    Each is the first leaf of a backtracking search in which every unplaced
+    element keeps a bitmask domain of images, seeded from its (out-degree,
+    in-degree, class size) and narrowed by each placement; an empty domain
+    prunes the branch (McKay 1981).  The searches run below distinct prefixes
+    (1..i-1 fixed, i sent to j) of the backtracking tree over every consistent
+    assignment, so together they visit no more of its nodes than a search for
+    the whole group would.
+    """
+    rel.require_quasi_order()
+    n = rel.n
     # Adjacency rows as bitmasks: bit t of out_rows[i] is (i,t) in rel, bit t
-    # of in_rows[i] is (t,i) in rel.  Placing j as the image of i is consistent
-    # iff j relates to the images placed so far as i relates to their preimages.
+    # of in_rows[i] is (t,i) in rel, so out_rows[i] & in_rows[i] is i's class.
     out_rows = [0] * (n + 1)
     in_rows = [0] * (n + 1)
     for a, b in rel.pairs:
         out_rows[a] |= 1 << b
         in_rows[b] |= 1 << a
-    found: list[Permutation] = []
-    image = [0] * (n + 1)
+    signature = [
+        (out_rows[i].bit_count(), in_rows[i].bit_count(), (out_rows[i] & in_rows[i]).bit_count())
+        for i in range(1, n + 1)
+    ]
+    alike: dict[tuple, int] = {}
+    for i, sig in enumerate(signature, start=1):
+        alike[sig] = alike.get(sig, 0) | 1 << i
+    # domains[k]: the images still open to element k, as bit x for image x
+    domains = [0] + [alike[sig] for sig in signature]
+    levels = []
+    for i in range(1, n + 1):
+        level = [tuple(range(1, n + 1))]
+        others = domains[i] & ~(1 << i)
+        while others:
+            low = others & -others
+            others ^= low
+            j = low.bit_length() - 1
+            rest = _first_leaf(i + 1, _narrow(domains, i, j, out_rows, in_rows), out_rows, in_rows)
+            if rest is not None:
+                level.append(tuple(range(1, i)) + (j,) + rest)
+        levels.append(level)
+        domains = _narrow(domains, i, i, out_rows, in_rows)
+    return levels
 
-    def place(i: int, placed: int) -> None:
-        if i > n:
-            found.append(Permutation(n, tuple(image[1:])))
-            return
-        want_out = want_in = 0
-        for t in range(1, i):
-            if (out_rows[i] >> t) & 1:
-                want_out |= 1 << image[t]
-            if (in_rows[i] >> t) & 1:
-                want_in |= 1 << image[t]
-        loop = (out_rows[i] >> i) & 1
-        for j in candidates[i]:
-            if (
-                (placed >> j) & 1
-                or (out_rows[j] & placed) != want_out
-                or (in_rows[j] & placed) != want_in
-                or ((out_rows[j] >> j) & 1) != loop
-            ):
-                continue
-            image[i] = j
-            place(i + 1, placed | 1 << j)
-        image[i] = 0
 
-    place(1, 0)
-    # place refers to itself through its closure; dropping the name frees the
-    # search state (and `found`'s list) now instead of at the next cycle collection
-    del place
-    return tuple(found)
+def _narrow(domains: list[int], i: int, j: int, out_rows: list[int], in_rows: list[int]):
+    """The domains once i is sent to j, or None when an element after i is left
+    with none.  Such an element k may go to x only if x != j and (j,x) and (x,j)
+    are related as (i,k) and (k,i) are; earlier elements are placed already."""
+    out_i, in_i = out_rows[i], in_rows[i]
+    succ, pred = out_rows[j], in_rows[j]
+    other_succ, other_pred = ~succ, ~pred
+    taken = ~(1 << j)
+    narrowed = domains[:]
+    for k in range(i + 1, len(domains)):
+        d = (
+            narrowed[k]
+            & taken
+            & (succ if out_i >> k & 1 else other_succ)
+            & (pred if in_i >> k & 1 else other_pred)
+        )
+        if not d:
+            return None
+        narrowed[k] = d
+    return narrowed
+
+
+def _first_leaf(i: int, domains, out_rows: list[int], in_rows: list[int]):
+    """The least images of i..n within the domains that leave none empty, or
+    None; domains is None for a branch already pruned."""
+    if domains is None:
+        return None
+    if i == len(domains):
+        return ()
+    d = domains[i]
+    while d:
+        low = d & -d
+        d ^= low
+        j = low.bit_length() - 1
+        rest = _first_leaf(i + 1, _narrow(domains, i, j, out_rows, in_rows), out_rows, in_rows)
+        if rest is not None:
+            return (j,) + rest
+    return None
 
 
 class AutomorphismSpec:
@@ -163,8 +213,6 @@ class FactoredAutomorphism(AutomorphismSpec):
         a = self.conjugator
         if self.scaling.relation != a.pattern or self.scaling.field != a.field:
             raise Mismatch("factors must share one relation and one field")
-        if self.permutation.n != a.n:
-            raise Mismatch("permutation size does not match")
         if not is_relation_automorphism(a.pattern, self.permutation):
             raise NotRelationAutomorphism(
                 f"{self.permutation.cycle_notation()} does not preserve the relation"

@@ -131,7 +131,7 @@ def coboundary(relation: Relation, field: Field, scaling: Iterable) -> Transitiv
     """The transitive function g(i,j) = s(i) / s(j) for a nonzero scaling s."""
     s = [field.element(v) for v in scaling]
     if len(s) != relation.n:
-        raise ValueError(f"expected {relation.n} scaling values")
+        raise Mismatch(f"expected {relation.n} scaling values, got {len(s)}")
     if any(v == 0 for v in s):
         raise ValueError("scaling values must be nonzero")
     vals = {

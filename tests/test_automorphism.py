@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -11,8 +12,10 @@ from sma import (
     Permutation,
     RATIONALS,
     Relation,
+    SmaError,
     StructMatrix,
     TransitiveFn,
+    coboundary,
     compose,
     compose_permutations,
     enumerate_relation_automorphisms,
@@ -28,7 +31,21 @@ from sma import (
     spec_from_json,
     verify_automorphism,
 )
+from sma.automorphism import _transversals
 from sma.oracle import brute_relation_automorphisms, random_in_pattern, random_invertible
+
+
+def crown(k: int) -> Relation:
+    """Sources 1..k, sinks k+1..2k, source i below every sink except k+i."""
+    pairs = [(i, i) for i in range(1, 2 * k + 1)]
+    pairs += [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if j != i]
+    return Relation.from_pairs(2 * k, pairs)
+
+
+def chain2(n: int) -> Relation:
+    """Classes {1,2}, {3,4}, ... stacked in a chain."""
+    rng = range(1, n + 1)
+    return Relation.from_pairs(n, [(i, j) for i in rng for j in rng if (i + 1) // 2 <= (j + 1) // 2])
 
 
 class TestRelationAutomorphism:
@@ -44,6 +61,15 @@ class TestRelationAutomorphism:
     def test_identity_always_works(self, sym6, vee3, crown6):
         for rel in (sym6, vee3, crown6):
             assert is_relation_automorphism(rel, Permutation.identity_perm(rel.n))
+
+    def test_sizes_that_disagree_are_domain_errors(self):
+        rel = Relation.identity(3)
+        with pytest.raises(SmaError) as refused:
+            is_relation_automorphism(rel, Permutation.identity_perm(4))
+        assert refused.type is Mismatch
+        with pytest.raises(SmaError) as refused:
+            coboundary(rel, RATIONALS, [1, 2])
+        assert refused.type is Mismatch
 
 
 class TestEnumeration:
@@ -74,6 +100,25 @@ class TestEnumeration:
             enumerate_relation_automorphisms(small)
         monkeypatch.setenv("SMA_MAX_N", "3")
         assert len(enumerate_relation_automorphisms(small)) == 6
+
+    @pytest.mark.parametrize(
+        "rel, count",
+        [(crown(k), factorial(k)) for k in range(4, 8)]
+        + [(chain2(n), 2 ** (n // 2)) for n in range(8, 15, 2)]
+        + [(Relation.from_pairs(14, [(i, j) for i in range(1, 15) for j in range(i, 15)]), 1)]
+        + [(Relation.identity(8), factorial(8))],
+        ids=[f"crown{2 * k}" for k in range(4, 8)]
+        + [f"chain2_{n}" for n in range(8, 15, 2)]
+        + ["total14", "identity8"],
+    )
+    def test_closed_form_counts_above_the_brute_force_bound(self, rel, count):
+        autos = enumerate_relation_automorphisms(rel, bound=rel.n)
+        images = [tau.image for tau in autos]
+        assert len(autos) == count
+        assert all(a < b for a, b in zip(images, images[1:]))
+        assert all(is_relation_automorphism(rel, tau) for tau in autos)
+        # one product per choice of one transversal element per level
+        assert prod(len(level) for level in _transversals(rel)) == count
 
 
 class TestPermutationSimilarity:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from sma import (
@@ -16,6 +19,23 @@ from sma import (
     verify_automorphism,
 )
 from sma.oracle import random_factored_automorphism
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+# random_factored_automorphism(rel, gf(101), seed).to_json() on golden relations,
+# as json.dumps prints it.  The permutation factor indexes the automorphism
+# listing, so these pin the listing's order end to end.
+PINNED_MAPS = {
+    ("sym6", 1): '{"A": {"field": {"GF": 101}, "n": 6, "entries": [[17, 0, 0, 0, 72, 97], [0, 8, 32, 0, 0, 0], [0, 15, 63, 0, 0, 0], [0, 0, 0, 97, 0, 0], [57, 0, 0, 0, 60, 83], [48, 0, 0, 0, 100, 26]]}, "g": {"field": {"GF": 101}, "values": [[1, 5, 90], [1, 6, 35], [2, 3, 99], [3, 2, 50], [5, 1, 55], [5, 6, 6], [6, 1, 26], [6, 5, 17]]}, "tau": [1, 2, 3, 4, 6, 5]}',
+    ("sym6", 2): '{"A": {"field": {"GF": 101}, "n": 6, "entries": [[7, 0, 0, 0, 11, 10], [0, 46, 21, 0, 0, 0], [0, 94, 85, 0, 0, 0], [0, 0, 0, 39, 0, 0], [32, 0, 0, 0, 77, 27], [77, 0, 0, 0, 4, 74]]}, "g": {"field": {"GF": 101}, "values": [[1, 5, 9], [1, 6, 78], [2, 3, 73], [3, 2, 18], [5, 1, 45], [5, 6, 76], [6, 1, 79], [6, 5, 4]]}, "tau": [6, 3, 2, 4, 1, 5]}',
+    ("sym6", 3): '{"A": {"field": {"GF": 101}, "n": 6, "entries": [[30, 0, 0, 0, 75, 69], [0, 16, 47, 0, 0, 0], [0, 77, 60, 0, 0, 0], [0, 0, 0, 80, 0, 0], [74, 0, 0, 0, 8, 77], [1, 0, 0, 0, 60, 33]]}, "g": {"field": {"GF": 101}, "values": [[1, 5, 78], [1, 6, 74], [2, 3, 38], [3, 2, 8], [5, 1, 79], [5, 6, 89], [6, 1, 86], [6, 5, 42]]}, "tau": [6, 2, 3, 4, 1, 5]}',
+    ("crown6", 1): '{"A": {"field": {"GF": 101}, "n": 6, "entries": [[17, 72, 97, 8, 0, 0], [0, 32, 15, 0, 0, 0], [0, 63, 97, 0, 0, 0], [0, 0, 0, 57, 0, 0], [0, 60, 83, 48, 100, 26], [0, 12, 62, 3, 49, 55]]}, "g": {"field": {"GF": 101}, "values": [[1, 2, 89], [1, 3, 69], [1, 4, 35], [2, 3, 70], [3, 2, 13], [5, 2, 20], [5, 3, 87], [5, 4, 8], [5, 6, 96], [6, 2, 97], [6, 3, 23], [6, 4, 59], [6, 5, 20]]}, "tau": [1, 2, 3, 4, 5, 6]}',
+    ("crown6", 2): '{"A": {"field": {"GF": 101}, "n": 6, "entries": [[92, 65, 47, 69, 0, 0], [0, 56, 64, 0, 0, 0], [0, 34, 4, 0, 0, 0], [0, 0, 0, 3, 0, 0], [0, 46, 59, 40, 48, 54], [0, 67, 21, 71, 22, 30]]}, "g": {"field": {"GF": 101}, "values": [[1, 2, 11], [1, 3, 33], [1, 4, 69], [2, 3, 3], [3, 2, 34], [5, 2, 88], [5, 3, 62], [5, 4, 88], [5, 6, 36], [6, 2, 81], [6, 3, 41], [6, 4, 81], [6, 5, 87]]}, "tau": [1, 2, 3, 4, 6, 5]}',
+    ("crown6", 3): '{"A": {"field": {"GF": 101}, "n": 6, "entries": [[30, 75, 69, 16, 0, 0], [0, 47, 77, 0, 0, 0], [0, 60, 80, 0, 0, 0], [0, 0, 0, 74, 0, 0], [0, 8, 77, 1, 60, 33], [0, 70, 29, 24, 91, 60]]}, "g": {"field": {"GF": 101}, "values": [[1, 2, 88], [1, 3, 19], [1, 4, 47], [2, 3, 84], [3, 2, 95], [5, 3, 84], [5, 4, 62], [5, 6, 84], [6, 2, 95], [6, 4, 32], [6, 5, 95]]}, "tau": [1, 3, 2, 4, 6, 5]}',
+    ("vee3", 1): '{"A": {"field": {"GF": 101}, "n": 3, "entries": [[17, 72, 0], [0, 97, 0], [0, 8, 32]]}, "g": {"field": {"GF": 101}, "values": [[1, 2, 60], [3, 2, 11]]}, "tau": [1, 2, 3]}',
+    ("vee3", 2): '{"A": {"field": {"GF": 101}, "n": 3, "entries": [[7, 11, 0], [0, 10, 0], [0, 46, 21]]}, "g": {"field": {"GF": 101}, "values": [[1, 2, 66], [3, 2, 62]]}, "tau": [3, 2, 1]}',
+    ("vee3", 3): '{"A": {"field": {"GF": 101}, "n": 3, "entries": [[30, 75, 0], [0, 69, 0], [0, 16, 47]]}, "g": {"field": {"GF": 101}, "values": [[1, 2, 12], [3, 2, 82]]}, "tau": [3, 2, 1]}',
+}
 
 
 class TestBruteAutomorphisms:
@@ -110,3 +130,9 @@ class TestRandomSpecs:
         a = random_factored_automorphism(crown6_block, gf(5), 1)
         b = random_factored_automorphism(crown6_block, gf(5), 2)
         assert (a.conjugator, a.scaling, a.permutation) != (b.conjugator, b.scaling, b.permutation)
+
+    @pytest.mark.parametrize("name, seed", sorted(PINNED_MAPS))
+    def test_seeded_maps_are_pinned(self, name, seed):
+        rel = Relation.from_json(json.loads((GOLDEN / f"{name}.json").read_text()))
+        phi = random_factored_automorphism(rel, gf(101), seed)
+        assert json.dumps(phi.to_json()) == PINNED_MAPS[name, seed]
