@@ -321,16 +321,21 @@ def invert_grid(field: Field, a: Grid) -> Grid:
     return tuple(tuple(ech.rows[i].get(n + j, zero) for j in range(n)) for i in range(n))
 
 
+def _off_pattern_entry(rel: Relation, rows: Grid) -> Optional[tuple[int, int]]:
+    """The first (i, j), 1-based in row-major order, holding a nonzero entry
+    outside the relation's pairs, or None.  Each entry's truth is tested
+    first, so only a nonzero entry costs a pair lookup."""
+    pairs = rel.pairs
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if x and (i, j) not in pairs:
+                return i, j
+    return None
+
+
 def is_member(rel: Relation, rows: Grid) -> bool:
     """True iff every entry outside the relation's pairs is zero."""
-    n = len(rows)
-    if n != rel.n:
-        return False
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != 0 and (i + 1, j + 1) not in rel.pairs:
-                return False
-    return True
+    return len(rows) == rel.n and _off_pattern_entry(rel, rows) is None
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +353,9 @@ class StructMatrix:
         n = self.pattern.n
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError(f"expected a {n}x{n} grid")
-        for i in range(n):
-            for j in range(n):
-                if self.rows[i][j] != 0 and (i + 1, j + 1) not in self.pattern.pairs:
-                    raise OffPattern(f"nonzero entry at ({i + 1},{j + 1}) outside the pattern")
+        off = _off_pattern_entry(self.pattern, self.rows)
+        if off is not None:
+            raise OffPattern(f"nonzero entry at ({off[0]},{off[1]}) outside the pattern")
 
     @property
     def n(self) -> int:

@@ -20,15 +20,13 @@ from .algebra import (
     Field,
     Grid,
     StructMatrix,
-    grid_add,
     grid_from_json,
     grid_mul,
-    grid_scale,
     grid_to_json,
     identity_matrix,
     invert_grid,
     is_member,
-    zero_grid,
+    sparse_rows,
 )
 from .blockform import Permutation
 from .errors import (
@@ -238,21 +236,31 @@ class FactoredAutomorphism(AutomorphismSpec):
     def iter_images(self) -> Iterator[tuple[tuple[int, int], Grid]]:
         """(pair, image) for each matrix unit in sorted pair order, each image
         built when it is reached (only A^-1 is cached), so a compare can stop
-        at the first unit that differs."""
+        at the first unit that differs.  An image is the outer product of a
+        column of A^-1 with a row of A, and only their nonzero entries are
+        multiplied, so its cost follows its nonzero entries; every other
+        entry is the field's zero."""
         fld, rel = self.field, self.relation
-        a = self.conjugator.rows
-        a_inv = self._conjugator_inverse
+        n = rel.n
+        zero = fld.zero()
+        zero_row = (zero,) * n
+        # A's rows and A^-1's columns as (index, value) pairs of their nonzero entries
+        a_rows = sparse_rows(self.conjugator.rows)
+        a_inv_columns = sparse_rows(tuple(zip(*self._conjugator_inverse)))
         tau_inv = self.permutation.inverse()
-        zero_row = (fld.zero(),) * rel.n
         for i, j in rel.sorted_pairs():
             bi, bj = tau_inv(i), tau_inv(j)
             c = self.scaling(bi, bj)
             # A^-1 E^{bi,bj} A is the outer product of A^-1's column bi with A's row bj.
-            a_row = a[bj - 1]
-            column = (fld.reduce(c * a_inv_row[bi - 1]) for a_inv_row in a_inv)
-            yield (i, j), tuple(
-                tuple(fld.reduce(x * v) for v in a_row) if x != 0 else zero_row for x in column
-            )
+            a_row = a_rows[bj - 1]
+            image = [zero_row] * n
+            for r, u in a_inv_columns[bi - 1]:
+                x = fld.reduce(c * u)
+                row = [zero] * n
+                for s, v in a_row:
+                    row[s] = fld.reduce(x * v)
+                image[r] = tuple(row)
+            yield (i, j), tuple(image)
 
     def images(self) -> dict[tuple[int, int], Grid]:
         return dict(self.iter_images())
@@ -311,16 +319,23 @@ class BasisImageAutomorphism(AutomorphismSpec):
         return dict(self.images_table)
 
     def apply_grid(self, grid: Grid) -> Grid:
+        """The sum of c * image over the units whose coefficient c in grid is
+        nonzero, in one accumulator reduced once per entry.  Only the nonzero
+        entries of those images are multiplied and added, so the cost follows
+        the nonzero entries of the images."""
         fld, rel = self.field, self.relation
         n = rel.n
         if not is_member(rel, grid):
             raise OffPattern("matrix is not in the algebra")
-        acc = zero_grid(fld, n)
+        acc = [[fld.zero()] * n for _ in range(n)]
         for (i, j), img in self.images_table:
             c = grid[i - 1][j - 1]
-            if c != 0:
-                acc = grid_add(fld, acc, grid_scale(fld, c, img))
-        return acc
+            if c:
+                for acc_row, img_row in zip(acc, img):
+                    for s, x in enumerate(img_row):
+                        if x:
+                            acc_row[s] += c * x
+        return tuple(tuple(map(fld.reduce, row)) for row in acc)
 
     def to_json(self) -> dict:
         return {

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -18,6 +20,7 @@ from sma import (
     coboundary,
     compose,
     compose_permutations,
+    enumerate_quasiorders,
     enumerate_relation_automorphisms,
     equal_as_maps,
     gf,
@@ -31,8 +34,14 @@ from sma import (
     spec_from_json,
     verify_automorphism,
 )
+from sma.algebra import grid_add, grid_mul, grid_scale, invert_grid, zero_grid
 from sma.automorphism import _transversals
-from sma.oracle import brute_relation_automorphisms, random_in_pattern, random_invertible
+from sma.oracle import (
+    brute_relation_automorphisms,
+    random_factored_automorphism,
+    random_in_pattern,
+    random_invertible,
+)
 
 
 def crown(k: int) -> Relation:
@@ -229,13 +238,70 @@ class TestComposeAndApply:
             assert G.apply(unit).rows == G.image(i, j)
 
     def test_factored_and_basis_images_apply_identically(self, crown6_block):
+        # the reference is the dense sum of c * image over every unit, scaled and
+        # added grid by grid
         rng = random.Random(79)
-        from sma.oracle import random_factored_automorphism
+        relations = [rel for n in (1, 2, 3) for rel in enumerate_quasiorders(n)] + [crown6_block]
+        for rel in relations:
+            for field in (RATIONALS, gf(5), gf(101)):
+                phi = random_factored_automorphism(rel, field, rng.randrange(10**6))
+                as_images = phi.as_basis_images()
+                m = random_in_pattern(rel, field, rng)
+                expected = zero_grid(field, rel.n)
+                for (i, j), img in as_images.images_table:
+                    expected = grid_add(field, expected, grid_scale(field, m.entry(i, j), img))
+                for spec in (phi, as_images):
+                    out = spec.apply(m).rows
+                    assert out == expected
+                    for x in (x for row in out for x in row):
+                        if field.is_rational:
+                            assert type(x) is Fraction
+                        else:
+                            assert type(x) is int and x in range(field.char)
 
-        phi = random_factored_automorphism(crown6_block, gf(5), 4)
-        as_images = phi.as_basis_images()
-        m = random_in_pattern(crown6_block, gf(5), rng)
-        assert phi.apply(m) == as_images.apply(m)
+    def test_recomposition_equals_the_dense_product(self, sym6, crown6, vee3):
+        # each image is g(t^-1 i, t^-1 j) * A^-1 E A with E the unit at
+        # (t^-1 i, t^-1 j), multiplied out in full; apply's JSON is pinned
+        digests = {}
+        for name, rel in (("sym6", sym6), ("crown6", crown6), ("vee3", vee3)):
+            for field in (RATIONALS, gf(5)):
+                for seed in range(3):
+                    phi = random_factored_automorphism(rel, field, seed)
+                    a = phi.conjugator.rows
+                    a_inv = invert_grid(field, a)
+                    tau_inv = phi.permutation.inverse()
+                    for (i, j), img in phi.iter_images():
+                        bi, bj = tau_inv(i), tau_inv(j)
+                        unit = matrix_unit(rel, field, bi, bj).rows
+                        dense = grid_mul(field, grid_mul(field, a_inv, unit), a)
+                        assert img == grid_scale(field, phi.scaling(bi, bj), dense)
+                    m = random_in_pattern(rel, field, random.Random(seed))
+                    out = json.dumps(phi.apply(m).to_json())
+                    assert json.dumps(phi.as_basis_images().apply(m).to_json()) == out
+                    digests[f"{name}/{field.name}/{seed}"] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == APPLY_DIGESTS
+
+
+APPLY_DIGESTS = {
+    "sym6/Q/0": "b8fdf0cabb89891bde90300eaae745f66b883231a22de45a039c8329266bced3",
+    "sym6/Q/1": "29f99545527b0b47fede9a74ba0496e2ea6338112c5097460f574770ba390b5e",
+    "sym6/Q/2": "d7de7dbe980eeacce62222f08cc99c994e6183525c3c07461ad4b9fe19728f59",
+    "sym6/GF(5)/0": "1d6d486862ca397f7906a5b7726ae9d1589edfaa051c2903fce082d00dbed53a",
+    "sym6/GF(5)/1": "bfaba66ef9c4aee7eab4468ee105e012c057ac1d802230e9c58a80382c5c5089",
+    "sym6/GF(5)/2": "208bc9c71312c07d843fe6ec1ef16de79ed086a13ce283b564cec021a18b19f5",
+    "crown6/Q/0": "38058bff24a7046815204f85ac9adf12543b9dfa0b7b6a60b0fc9954e865f9e0",
+    "crown6/Q/1": "704b18e1bcbeeeefe3ba3e54cf3dc75ace154db01ed24d7fd5cb520f6a15914f",
+    "crown6/Q/2": "4294addadd188f4f027c63edbe88b3d640e3a392c4671a88ac9b020b6c838520",
+    "crown6/GF(5)/0": "6453a72bfae5a9027e700c56945f60a541ea960f0c4f25f9a1f42b4ff2d736c4",
+    "crown6/GF(5)/1": "5876f90dcdf587b020917cdfbec1f008e7e5b921c30d814d58cd5b73e0d78135",
+    "crown6/GF(5)/2": "058044fe8bd27c7d415c9580fef72fa0ab11966457ae025a67dc344054b24a24",
+    "vee3/Q/0": "5baba170e6966c4683edd0a33131e5ec713b42ee753cd8536b06deb0e84aff15",
+    "vee3/Q/1": "c53cca595f165107d9a9ef54eef497e89c6df27b1e1ccf254b809a39256d4ad3",
+    "vee3/Q/2": "0a3f77cf0a7f9bcf8b63d8f170bd6fa6844e102c5b3e3845e66b88bfb45f4ded",
+    "vee3/GF(5)/0": "465e855456f7167b0001bf091c34616bad8ba7e124d042f050a20bc02de871fb",
+    "vee3/GF(5)/1": "29e2dce13417c86ec276a22f0ae1e8f4862828ad1268d7dd3ec6fe65ca6f70a6",
+    "vee3/GF(5)/2": "ade602cf71b5ae5a5a86ad82c6dc2317e55f25195abb62241ce35993d08339dd",
+}
 
 
 class TestVerify:
@@ -290,8 +356,6 @@ class TestVerify:
 
 class TestSpecJson:
     def test_factored_round_trip(self, crown6_block):
-        from sma.oracle import random_factored_automorphism
-
         phi = random_factored_automorphism(crown6_block, gf(5), 11)
         again = spec_from_json(phi.to_json(), crown6_block)
         assert equal_as_maps(phi, again)
