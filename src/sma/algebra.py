@@ -35,6 +35,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# Every zero over Q is this one object, so compares of zeros take the identity shortcut.
+_Q_ZERO = Fraction(0)
+
 
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for every p < MAX_CHAR."""
@@ -83,7 +86,7 @@ class Field:
         return self.char is None
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.char is None else 0
+        return _Q_ZERO if self.char is None else 0
 
     def one(self) -> Scalar:
         return Fraction(1) if self.char is None else 1
@@ -94,7 +97,7 @@ class Field:
             raise ValueError("floating-point values are not exact; use ints or 'num/den' strings")
         if self.char is None:
             try:
-                return Fraction(value)
+                return Fraction(value) or _Q_ZERO
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"not a rational value: {value!r}") from exc
         try:

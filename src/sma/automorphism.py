@@ -6,7 +6,7 @@ units.  Basis images are the universal interchange form; the factored form
 converts on demand.  Either form caches its certificate (see factor.py), and
 the factored form its conjugator's inverse.  Conventions, pinned by the tests:
 conjugation is B -> A^-1 B A, and a permutation similarity acts entrywise as
-B -> (B[t(i)][t(j)]).
+B -> (B[t(i)][t(j)]), which `Permutation.relabel` implements.
 """
 
 from __future__ import annotations
@@ -178,7 +178,8 @@ def _first_leaf(i: int, domains, out_rows: list[int], in_rows: list[int]):
 
 
 class AutomorphismSpec:
-    """Either form of a map; each provides relation, field, images() and apply_grid."""
+    """Either form of a map; each provides relation, field, images() and
+    _apply_grid, on a grid that StructMatrix or `compose` has checked is in the pattern."""
 
     @cached_property
     def certificate(self) -> FactoredAutomorphism | str:
@@ -196,7 +197,7 @@ class AutomorphismSpec:
             raise Mismatch(f"matrix over {m.field.name}, map over {self.field.name}")
         if m.pattern != self.relation:
             raise Mismatch("matrix and map are constrained by different relations")
-        return StructMatrix(self.field, self.relation, self.apply_grid(m.rows))
+        return StructMatrix(self.field, self.relation, self._apply_grid(m.rows))
 
 
 @dataclass(frozen=True)
@@ -265,19 +266,16 @@ class FactoredAutomorphism(AutomorphismSpec):
     def images(self) -> dict[tuple[int, int], Grid]:
         return dict(self.iter_images())
 
-    def apply_grid(self, grid: Grid) -> Grid:
+    def _apply_grid(self, grid: Grid) -> Grid:
+        """A^-1 * scale(P_tau(B)) * A for an in-pattern B: the relabelled grid,
+        its nonzero entries scaled by g, then two products."""
         fld, rel = self.field, self.relation
-        n = rel.n
-        if not is_member(rel, grid):
-            raise OffPattern("matrix is not in the algebra")
-        tau = self.permutation
-        moved = [[grid[tau(i) - 1][tau(j) - 1] for j in range(1, n + 1)] for i in range(1, n + 1)]
+        moved = list(map(list, self.permutation.relabel(grid)))
         for i, j in rel.sorted_pairs():
             v = moved[i - 1][j - 1]
             if v != 0:
                 moved[i - 1][j - 1] = fld.reduce(v * self.scaling(i, j))
-        moved = grid_mul(fld, self._conjugator_inverse, tuple(map(tuple, moved)))
-        return grid_mul(fld, moved, self.conjugator.rows)
+        return grid_mul(fld, grid_mul(fld, self._conjugator_inverse, moved), self.conjugator.rows)
 
     def as_basis_images(self) -> BasisImageAutomorphism:
         return BasisImageAutomorphism.from_map(self.relation, self.field, self.images())
@@ -318,15 +316,12 @@ class BasisImageAutomorphism(AutomorphismSpec):
     def images(self) -> dict[tuple[int, int], Grid]:
         return dict(self.images_table)
 
-    def apply_grid(self, grid: Grid) -> Grid:
-        """The sum of c * image over the units whose coefficient c in grid is
-        nonzero, in one accumulator reduced once per entry.  Only the nonzero
-        entries of those images are multiplied and added, so the cost follows
-        the nonzero entries of the images."""
-        fld, rel = self.field, self.relation
-        n = rel.n
-        if not is_member(rel, grid):
-            raise OffPattern("matrix is not in the algebra")
+    def _apply_grid(self, grid: Grid) -> Grid:
+        """The sum of c * image over the units whose coefficient c in the
+        in-pattern grid is nonzero, in one accumulator reduced once per entry.
+        Only the nonzero entries of those images are multiplied and added, so
+        the cost follows the nonzero entries of the images."""
+        fld, n = self.field, self.relation.n
         acc = [[fld.zero()] * n for _ in range(n)]
         for (i, j), img in self.images_table:
             c = grid[i - 1][j - 1]
@@ -370,11 +365,14 @@ def identity_automorphism(rel: Relation, field: Field) -> FactoredAutomorphism:
 
 
 def compose(outer: AutomorphismSpec, inner: AutomorphismSpec) -> BasisImageAutomorphism:
-    """The map X -> outer(inner(X)), recorded on basis images."""
+    """The map X -> outer(inner(X)), recorded on basis images; OffPattern when
+    an image of `inner` leaves the pattern."""
     if outer.relation != inner.relation or outer.field != inner.field:
         raise Mismatch("composition requires the same relation and field")
     inner_images = inner.images()
-    images = {p: outer.apply_grid(img) for p, img in inner_images.items()}
+    if not all(is_member(inner.relation, img) for img in inner_images.values()):
+        raise OffPattern("matrix is not in the algebra")
+    images = {p: outer._apply_grid(img) for p, img in inner_images.items()}
     return BasisImageAutomorphism.from_map(outer.relation, outer.field, images)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
+from .algebra import Grid
 from .errors import InvalidOverride
 from .relation import ClassPartition, CondensationDAG, Relation
 
@@ -38,6 +39,12 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
+
+    def relabel(self, grid: Grid) -> Grid:
+        """The grid whose (i, j) entry is grid[p(i)][p(j)], 1-based: the similarity
+        B -> (B[p(i)][p(j)]), gathering each row through one index list."""
+        idx = [k - 1 for k in self.image]
+        return tuple(tuple(map(grid[k].__getitem__, idx)) for k in idx)
 
     def inverse(self) -> Permutation:
         inv = [0] * self.n
@@ -100,6 +107,7 @@ class BlockForm:
     permuted: Relation
     class_order: tuple[int, ...]  # indices into partition.classes, diagonal order
     block_sizes: tuple[int, ...]
+    block_spans: tuple[tuple[int, int], ...]  # half-open 1-based index range of each block
     num_comparable: int
     num_isolated: int
     partition: ClassPartition
@@ -107,16 +115,6 @@ class BlockForm:
     @property
     def p(self) -> int:
         return len(self.class_order)
-
-    def block_spans(self) -> tuple[tuple[int, int], ...]:
-        """Half-open 1-based index range (start, stop) of each diagonal block."""
-        return consecutive_spans(self.block_sizes)
-
-
-def consecutive_spans(sizes: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Half-open 1-based index range (start, stop) of consecutive blocks of these sizes."""
-    bounds = tuple(accumulate(sizes, initial=1))
-    return tuple(zip(bounds, bounds[1:]))
 
 
 def class_order_permutation(part: ClassPartition, order: Sequence[int]) -> Permutation:
@@ -190,19 +188,22 @@ def _block_form(rel: Relation, class_order_override: Optional[Sequence[int]] = N
         order = _check_override(class_order_override, part, dag)
     pi = class_order_permutation(part, order)
     permuted = conjugate_relation(rel, pi)
+    sizes = tuple(len(part.classes[k]) for k in order)
+    bounds = tuple(accumulate(sizes, initial=1))
 
     bf = BlockForm(
         source=rel,
         pi=pi,
         permuted=permuted,
         class_order=tuple(order),
-        block_sizes=tuple(len(part.classes[k]) for k in order),
+        block_sizes=sizes,
+        block_spans=tuple(zip(bounds, bounds[1:])),
         num_comparable=part.p - len(dag.isolated),
         num_isolated=len(dag.isolated),
         partition=part,
     )
     # Contiguous ascending class layout makes triangularity automatic; assert it anyway.
-    block_of = {pos: b for b, span in enumerate(bf.block_spans()) for pos in range(*span)}
+    block_of = {pos: b for b, span in enumerate(bf.block_spans) for pos in range(*span)}
     for i, j in permuted.pairs:
         assert block_of[i] <= block_of[j], f"block triangularity violated at ({i},{j})"
     return bf
@@ -223,7 +224,7 @@ def block_pattern(bf: BlockForm) -> BlockPattern:
     exactly when the classes on positions a and b are comparable, which the
     first elements of the two index ranges already decide.
     """
-    spans = bf.block_spans()
+    spans = bf.block_spans
     grid = []
     for a in range(bf.p):
         row = []
@@ -251,8 +252,7 @@ def is_block_form(rel: Relation) -> bool:
 
 def render_pattern_grid(bf: BlockForm) -> str:
     """n x n grid of F/0 cells with block separators, for eyeball comparison."""
-    spans = bf.block_spans()
-    boundaries = {stop for _, stop in spans[:-1]}
+    boundaries = {stop for _, stop in bf.block_spans[:-1]}
     lines = []
     for i in range(1, bf.source.n + 1):
         cells = []

@@ -290,33 +290,35 @@ def _cmd_factor(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.oracle_cmd == "autos":
-        rel = _load_relation(args.relation, args.close_reflexive)
-        autos = brute_relation_automorphisms(rel)
-        payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
-        _emit(args, payload, f"{len(autos)} automorphisms (brute force)")
-        return 0
-    if args.oracle_cmd == "rank":
-        rel = _load_relation(args.relation, args.close_reflexive)
-        rank = brute_cocycle_rank(rel)
-        _emit(args, {"rank": rank}, f"rank: {rank} (brute force)")
-        return 0
-    if args.oracle_cmd == "quasiorders":
-        count = sum(1 for _ in enumerate_quasiorders(args.n))
-        _emit(args, {"n": args.n, "count": count}, f"{count} quasi-orders on {args.n} elements")
-        return 0
-    if args.oracle_cmd == "randphi":
-        rel = _load_relation(args.relation, args.close_reflexive)
-        field_obj = args.field
-        if field_obj.lstrip().startswith("{"):
-            field_obj = parse_json(field_obj, "--field")
-        field = Field.from_json(field_obj)
-        phi = random_factored_automorphism(rel, field, args.seed)
-        payload = phi.to_json()
-        _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    raise ParseError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+def _cmd_oracle_autos(args) -> int:
+    rel = _load_relation(args.relation, args.close_reflexive)
+    autos = brute_relation_automorphisms(rel)
+    payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
+    _emit(args, payload, f"{len(autos)} automorphisms (brute force)")
+    return 0
+
+
+def _cmd_oracle_rank(args) -> int:
+    rank = brute_cocycle_rank(_load_relation(args.relation, args.close_reflexive))
+    _emit(args, {"rank": rank}, f"rank: {rank} (brute force)")
+    return 0
+
+
+def _cmd_oracle_quasiorders(args) -> int:
+    count = sum(1 for _ in enumerate_quasiorders(args.n))
+    _emit(args, {"n": args.n, "count": count}, f"{count} quasi-orders on {args.n} elements")
+    return 0
+
+
+def _cmd_oracle_randphi(args) -> int:
+    rel = _load_relation(args.relation, args.close_reflexive)
+    field_obj = args.field
+    if field_obj.lstrip().startswith("{"):
+        field_obj = parse_json(field_obj, "--field")
+    phi = random_factored_automorphism(rel, Field.from_json(field_obj), args.seed)
+    payload = phi.to_json()
+    _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -402,15 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_subs = sub.add_subparsers(dest="oracle_cmd", required=True)
     osub = oracle_subs.add_parser("autos", help="automorphisms by filtering all permutations")
     _add_relation_arg(osub)
+    osub.set_defaults(func=_cmd_oracle_autos)
     osub = oracle_subs.add_parser("rank", help="cocycle rank from the raw constraint system")
     _add_relation_arg(osub)
+    osub.set_defaults(func=_cmd_oracle_rank)
     osub = oracle_subs.add_parser("quasiorders", help="count quasi-orders on n elements")
     osub.add_argument("n", type=_positive_int)
+    osub.set_defaults(func=_cmd_oracle_quasiorders)
     osub = oracle_subs.add_parser("randphi", help="seeded random factored automorphism")
     _add_relation_arg(osub)
     osub.add_argument("--field", default="Q", help='"Q" or {"GF": p}')
     osub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=_cmd_oracle)
+    osub.set_defaults(func=_cmd_oracle_randphi)
 
     return parser
 

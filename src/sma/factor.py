@@ -292,17 +292,11 @@ def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:
 
 
 def conjugate_by_block_form(phi: AutomorphismSpec, bf: BlockForm) -> BasisImageAutomorphism:
-    """Transport a map over bf.source to the relabelled algebra over bf.permuted."""
+    """Transport a map over bf.source to the relabelled algebra over bf.permuted:
+    the image of unit (pi(i), pi(j)) is phi's image of unit (i, j), relabelled
+    by pi^-1, one gathered row at a time."""
     if phi.relation != bf.source:
         raise Mismatch("map is not over the block form's source relation")
     pi, pi_inv = bf.pi, bf.pi.inverse()
-    n = bf.source.n
-    images = phi.images()
-    moved = {}
-    for (i, j) in bf.permuted.sorted_pairs():
-        src = images[(pi_inv(i), pi_inv(j))]
-        moved[(i, j)] = tuple(
-            tuple(src[pi_inv(r) - 1][pi_inv(c) - 1] for c in range(1, n + 1))
-            for r in range(1, n + 1)
-        )
+    moved = {(pi(i), pi(j)): pi_inv.relabel(img) for (i, j), img in phi.images().items()}
     return BasisImageAutomorphism.from_map(bf.permuted, phi.field, moved)

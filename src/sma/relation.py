@@ -30,7 +30,8 @@ def parse_json(text: str, source: str | None = None):
     """json.loads, with every failure a ParseError prefixed by `source`.
 
     json reports most errors as JSONDecodeError, but an integer literal over
-    the interpreter's digit limit as a plain ValueError."""
+    the interpreter's digit limit as a plain ValueError, and nesting past the
+    recursion limit as RecursionError."""
     prefix = f"{source}: " if source else ""
     try:
         return json.loads(text)
@@ -40,6 +41,8 @@ def parse_json(text: str, source: str | None = None):
         ) from exc
     except ValueError as exc:
         raise ParseError(f"{prefix}invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{prefix}invalid JSON: nesting is too deep") from None
 
 
 def json_int(value, what: str) -> int:
@@ -290,10 +293,6 @@ class ClassPartition:
     @property
     def representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
 
     @cached_property
     def _index(self) -> dict[int, int]:

@@ -19,7 +19,8 @@ from sma import (
     is_member,
     matrix_unit,
 )
-from sma.oracle import random_in_pattern, random_invertible
+from sma.algebra import grid_from_json, zero_grid
+from sma.oracle import random_factored_automorphism, random_in_pattern, random_invertible
 
 
 def dense_multiply(a, b):
@@ -35,6 +36,18 @@ class TestField:
     def test_rational_elements_are_canonical(self):
         assert RATIONALS.element("3/6") == Fraction(1, 2)
         assert RATIONALS.element(4) == Fraction(4)
+
+    def test_every_rational_zero_is_one_object(self, crown6):
+        # one shared Fraction(0), so compares of zeros take the identity shortcut
+        zero = RATIONALS.zero()
+        assert RATIONALS.element(0) is zero and RATIONALS.element("0/7") is zero
+        assert RATIONALS.element(Fraction(0)) is zero
+        _, parsed = grid_from_json({"field": "Q", "entries": [[0, "0", "-0"], ["0/3", 1, 0], [0, 0, "2/4"]]}, 3)
+        phi = random_factored_automorphism(crown6, RATIONALS, 5)
+        grids = [parsed, zero_grid(RATIONALS, 4), identity_matrix(RATIONALS, crown6).rows]
+        grids += [img for _, img in phi.iter_images()]
+        for grid in grids:
+            assert all(x is zero for row in grid for x in row if x == 0)
 
     def test_floats_rejected(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,13 @@ from math import factorial, prod
 
 import pytest
 
+import sma.automorphism as automorphism
 from sma import (
     BasisImageAutomorphism,
     BoundExceeded,
     Mismatch,
     NotRelationAutomorphism,
+    OffPattern,
     Permutation,
     RATIONALS,
     Relation,
@@ -236,6 +238,27 @@ class TestComposeAndApply:
         for (i, j) in crown6_block.sorted_pairs():
             unit = matrix_unit(crown6_block, RATIONALS, i, j)
             assert G.apply(unit).rows == G.image(i, j)
+
+    def test_compose_refuses_an_inner_image_off_the_pattern(self, vee3_block):
+        images = identity_automorphism(vee3_block, RATIONALS).images()
+        images[(1, 3)] = matrix_unit(Relation.full(3), RATIONALS, 3, 1).rows  # (3,1) is off the pattern
+        inner = BasisImageAutomorphism.from_map(vee3_block, RATIONALS, images)
+        outer = identity_automorphism(vee3_block, RATIONALS)
+        for spec in (outer, outer.as_basis_images()):
+            with pytest.raises(OffPattern, match="not in the algebra"):
+                compose(spec, inner)
+
+    def test_apply_trusts_the_matrix_constructor(self, monkeypatch, crown6_block):
+        # StructMatrix refuses an off-pattern grid, so apply checks no pattern again
+        def forbidden(*args):
+            raise AssertionError("apply checked the pattern again")
+
+        monkeypatch.setattr(automorphism, "is_member", forbidden)
+        phi = random_factored_automorphism(crown6_block, gf(5), 3)
+        m = random_in_pattern(crown6_block, gf(5), random.Random(3))
+        assert phi.apply(m) == phi.as_basis_images().apply(m)
+        with pytest.raises(OffPattern):
+            StructMatrix(gf(5), crown6_block, matrix_unit(Relation.full(6), gf(5), 4, 1).rows)
 
     def test_factored_and_basis_images_apply_identically(self, crown6_block):
         # the reference is the dense sum of c * image over every unit, scaled and

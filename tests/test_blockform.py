@@ -41,6 +41,19 @@ class TestPermutation:
         assert Permutation(3, (1, 3, 2)).cycle_notation() == "(2 3)"
         assert Permutation.identity_perm(2).cycle_notation() == "id"
 
+    def test_relabel_matches_its_definition(self):
+        rng = random.Random(101)
+        for n in range(1, 7):
+            for _ in range(20):
+                image = list(range(1, n + 1))
+                rng.shuffle(image)
+                p = Permutation(n, tuple(image))
+                grid = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+                expected = tuple(
+                    tuple(grid[p(i) - 1][p(j) - 1] for j in range(1, n + 1)) for i in range(1, n + 1)
+                )
+                assert p.relabel(grid) == expected
+
 
 class TestBuildBlockForm:
     def test_sym6_default(self, sym6, sym6_block):

@@ -201,6 +201,24 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    # Nesting past the recursion limit made json raise RecursionError, which
+    # escaped as a traceback; each file kind is read through parse_json.
+    @pytest.mark.parametrize("kind", ["relation", "map", "matrix", "scaling"])
+    def test_nesting_too_deep_exits_two(self, capsys, tmp_path, kind):
+        nested = "[" * 100_000 + "]" * 100_000
+        rel, phi = str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json")
+        text, argv = {
+            "relation": ('{"n": 3, "pairs": %s}', ["validate"]),
+            "map": ('{"images": %s}', ["verify", rel]),
+            "matrix": ('{"field": "Q", "n": 3, "entries": %s}', ["apply", rel, phi]),
+            "scaling": ('{"field": "Q", "values": %s}', ["trivial", rel]),
+        }[kind]
+        f = tmp_path / f"{kind}.json"
+        f.write_text(text % nested)
+        code, _, err = run(capsys, "--json", *argv, str(f))
+        assert code == 2
+        assert "nesting is too deep" in err and "Traceback" not in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "classes", "/nonexistent/rel.json")
         assert code == 2

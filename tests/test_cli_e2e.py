@@ -7,7 +7,8 @@ few entries overwritten, in or out of the pattern, run through `verify`,
 accepts the map.  The relation-only subcommands, the relation oracles and
 `trivial` take any relation with n <= 4, quasi-order or not, with a drawn
 `--class-order` or function; all but `validate` exit 1 when the relation,
-after `--close-reflexive`, is not a quasi-order.  Every run keeps the exit code contract (0 success, 1 domain
+after `--close-reflexive`, is not a quasi-order.  `oracle quasiorders` takes
+any n, integer or not.  Every run keeps the exit code contract (0 success, 1 domain
 error, 2 parse or usage error) with no exception escaping.
 """
 
@@ -130,3 +131,22 @@ def test_relation_subcommands_keep_the_exit_code_contract(
         code = _run(capsys, [*command, paths["relation"], *operands, *flags])
         if refused:  # every subcommand but validate refuses a non-quasi-order
             assert code == 1, (command, sorted(closed))
+
+
+QUASIORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(-2, 6).map(str) | st.sampled_from(["x", "", "2.0", "1/2", "3e0", "--"]))
+def test_oracle_quasiorders_keeps_the_exit_code_contract(monkeypatch, capsys, n):
+    monkeypatch.delenv("SMA_MAX_N", raising=False)
+    try:
+        code = main(["--json", "oracle", "quasiorders", n])
+    except SystemExit as exc:  # argparse refuses n before the command runs
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if n in ("1", "2", "3", "4"):  # larger n exceeds the default bound (exit 1)
+        assert code == 0 and json.loads(out) == {"n": int(n), "count": QUASIORDER_COUNTS[int(n)]}
+    else:
+        assert code != 0

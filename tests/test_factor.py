@@ -211,6 +211,29 @@ class TestBlockFormTransport:
         factored = factor_automorphism(moved)
         assert equal_as_maps(factored, moved)
 
+    def test_transport_matches_the_per_entry_relabelling(self, sym6, crown6, vee3):
+        def reference(phi, bf):
+            pi_inv = bf.pi.inverse()
+            n = bf.source.n
+            images = phi.images()
+            moved = {}
+            for (i, j) in bf.permuted.sorted_pairs():
+                src = images[(pi_inv(i), pi_inv(j))]
+                moved[(i, j)] = tuple(
+                    tuple(src[pi_inv(r) - 1][pi_inv(c) - 1] for c in range(1, n + 1))
+                    for r in range(1, n + 1)
+                )
+            return BasisImageAutomorphism.from_map(bf.permuted, phi.field, moved)
+
+        relations = [rel for n in range(1, 5) for rel in enumerate_quasiorders(n) if not is_block_form(rel)]
+        relations += [sym6, crown6, vee3]
+        for k, rel in enumerate(relations):
+            bf = build_block_form(rel)
+            for field in (RATIONALS, gf(5)):
+                phi = random_factored_automorphism(rel, field, k)
+                for spec in (phi, phi.as_basis_images()):
+                    assert conjugate_by_block_form(spec, bf) == reference(spec, bf)
+
 
 def solved_conjugator(field, images, m):
     """The conjugator as a linear system: W solves W X = E_uw W for every unit

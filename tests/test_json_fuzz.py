@@ -15,6 +15,7 @@ from conftest import VEE3_BLOCK_PAIRS
 
 from sma import ParseError, Relation, StructMatrix, TransitiveFn, spec_from_json
 from sma.algebra import Field, grid_from_json
+from sma.relation import parse_json
 
 VEE3_BLOCK = Relation.from_pairs(3, VEE3_BLOCK_PAIRS)
 FULL3 = Relation.full(3)
@@ -103,3 +104,13 @@ def test_grid_decoder_matches_one_parse_per_entry(field, n, data):
         got = grid_from_json(obj, n)
         assert got == expected
         assert [list(map(type, row)) for row in got[1]] == [list(map(type, row)) for row in expected[1]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(depth=st.integers(1, 100_000), opener=st.sampled_from(["[", '{"a": ']))
+def test_parse_json_decodes_or_refuses_any_nesting(depth, opener):
+    closer = "]" if opener == "[" else "}"
+    try:
+        parse_json(opener * depth + "0" + closer * depth, "nested")
+    except ParseError as exc:
+        assert str(exc) == "nested: invalid JSON: nesting is too deep"
