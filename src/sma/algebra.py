@@ -275,20 +275,21 @@ class Echelon:
         rows[pivot] = row
         return True
 
-    def nullspace(self, ncols: int) -> list[tuple[Scalar, ...]]:
-        """Canonical nullspace basis: one vector per free column, that column set to 1."""
+    def kernel(self, ncols: int) -> list[SparseRow]:
+        """Canonical nullspace basis, sparse: one vector per free column, that
+        column set to 1, in ascending order of the free column."""
         fld = self.field
-        zero, one = fld.zero(), fld.one()
-        basis: dict[int, list[Scalar]] = {}
-        for f in range(ncols):
-            if f not in self.rows:
-                basis[f] = [zero] * ncols
-                basis[f][f] = one
+        basis = {f: {f: fld.one()} for f in range(ncols) if f not in self.rows}
         for pivot, row in self.rows.items():
             for c, v in row.items():
                 if c != pivot:  # every other column of a reduced row is free
                     basis[c][pivot] = fld.neg(v)
-        return [tuple(vec) for vec in basis.values()]
+        return list(basis.values())
+
+    def nullspace(self, ncols: int) -> list[tuple[Scalar, ...]]:
+        """The canonical nullspace basis of `kernel`, as dense vectors."""
+        zero = self.field.zero()
+        return [tuple(vec.get(c, zero) for c in range(ncols)) for vec in self.kernel(ncols)]
 
 
 def _subtract(field: Field, row: SparseRow, factor: Scalar, other: SparseRow) -> None:

@@ -87,7 +87,8 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
         padded = [(0,) + u for u in level[1:]]
         images += [tuple(map(u.__getitem__, p)) for u in padded for p in images]
     images.sort()
-    return tuple(Permutation(n, image) for image in images)
+    # products of bijections are bijections, so none is checked again
+    return tuple(Permutation._unchecked(n, image) for image in images)
 
 
 def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:

@@ -30,6 +30,15 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{self.n}: {self.image}")
 
     @classmethod
+    def _unchecked(cls, n: int, image: tuple[int, ...]) -> Permutation:
+        """A permutation whose image is a bijection of 1..n by construction,
+        built without the check."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "n", n)  # as the frozen dataclass's __init__ does
+        object.__setattr__(perm, "image", image)
+        return perm
+
+    @classmethod
     def identity_perm(cls, n: int) -> Permutation:
         return cls(n, tuple(range(1, n + 1)))
 

@@ -64,7 +64,7 @@ MAX_CLOSE_REFLEXIVE_N = 100_000
 def _load_relation(path: str, close_reflexive: bool, require_quasi_order: bool = True) -> Relation:
     """The relation argument, after --close-reflexive; unless told otherwise,
     InvalidRelation when it is not a quasi-order."""
-    rel = Relation.parse(_read_text(path))
+    rel = Relation.parse(_read_text(path), path)
     if close_reflexive:
         if rel.n > MAX_CLOSE_REFLEXIVE_N:
             raise ParseError(

@@ -9,8 +9,8 @@ condensation.
 A Relation is frozen, so what the algorithms read about it is computed once,
 on first use, and kept on the object: the sorted pairs, the successor and
 predecessor index, the validation report, the classes, the condensation with
-its isolated classes, the spanning forest of the comparability graph, and the
-default block form.
+its cover edges and isolated classes, the spanning forest of the comparability
+graph, and the default block form.
 """
 
 from __future__ import annotations
@@ -143,11 +143,12 @@ class Relation:
             raise ParseError(str(exc)) from exc
 
     @classmethod
-    def parse(cls, text: str) -> Relation:
-        """Parse either the JSON or the plain-text relation format."""
+    def parse(cls, text: str, source: str | None = None) -> Relation:
+        """Parse either the JSON or the plain-text relation format; `source`,
+        when given, prefixes the message of invalid JSON."""
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return cls.from_json(parse_json(text))
+            return cls.from_json(parse_json(text, source))
         return cls.from_text(text)
 
     # derived structure, each computed on first use
@@ -337,6 +338,19 @@ class CondensationDAG:
     def edges(self) -> frozenset[tuple[int, int]]:
         """(a, b) for each class a below class b."""
         return frozenset((a, b) for a, above in enumerate(self.successors) for b in above)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """covers[a] lists, ascending, the classes b covering class a: a < b
+        with no class strictly between them (the Hasse diagram's edges)."""
+        above = [sum(1 << b for b in bs) for bs in self.successors]
+        out = []
+        for bs in self.successors:
+            skipped = 0
+            for b in bs:
+                skipped |= above[b]
+            out.append(tuple(b for b in bs if not skipped >> b & 1))
+        return tuple(out)
 
     @cached_property
     def isolated(self) -> frozenset[int]:

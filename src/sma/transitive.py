@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import Mismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
@@ -301,74 +301,131 @@ class CocycleBasis:
 
 
 def _primitive_integer(vec: Iterable[Fraction]) -> tuple[int, ...]:
+    """The rational vector as coprime integers, its first nonzero entry
+    positive; each zero entry costs one truth test."""
     vec = list(vec)
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    first = next((v for v in ints if v != 0), 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    denom = lcm(*(v.denominator for v in vec if v))
+    ints = [v.numerator * (denom // v.denominator) if v else 0 for v in vec]
+    g = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    if g in (0, 1):
+        return tuple(ints)
+    return tuple(v // g for v in ints)
 
 
 def cocycle_rank(rel: Relation) -> CocycleBasis:
     """Dimension and canonical basis of transitive functions modulo coboundaries.
 
     Additive variables x(i,j) live on off-diagonal pairs, with x(j,i) = -x(i,j)
-    when both directions are present; chain constraints x(i,j)+x(j,k) = x(i,k)
-    cut out the cocycles.  The coboundary subspace has dimension n minus the
-    number of comparability components, and the canonical complement is the
-    set of cocycles vanishing on the spanning forest.
+    when both directions are present; the cocycles are the x with
+    x(i,j) + x(j,k) = x(i,k) on every chain.  Classes are contractible, and a
+    poset's cocycles are fixed by their values on cover edges, so each cocycle
+    is x(i,j) = t(i) + Y(A,B) - t(j), where A and B are the classes of i and j.
+    The potential t is 0 at each class minimum.  Y(A,B) sums one value y per
+    cover edge of the condensation along ch(A,B): the first cover C of A with
+    C <= B, then ch(C,B).  Such an x is a cocycle iff
+    y(A,C) + Y(C,B) = Y(A,B) for every other cover C of A with C <= B, so those
+    are the only rows reduced, and a total order has none.
+
+    The coboundary subspace has dimension n minus the number of comparability
+    components, and the canonical complement is the set of cocycles vanishing
+    on the spanning forest.  Its basis, expanded into x, is reduced once more
+    with the columns reversed.  That reduced row echelon form is unique, and
+    its rows are the canonical nullspace basis of the chain and forest
+    constraints on x: one vector per free column, that column set to 1.
     """
     rel.require_quasi_order()
     all_pairs = rel.off_diagonal_pairs()
 
-    var_index: dict[tuple[int, int], int] = {}
-    signed: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (var, sign)
-    for i, j in all_pairs:
-        if (j, i) in rel.pairs and (j, i) < (i, j):
-            continue
-        var_index[(i, j)] = len(var_index)
-    for i, j in all_pairs:
-        if (i, j) in var_index:
-            signed[(i, j)] = (var_index[(i, j)], 1)
+    # One variable per pair, up to orientation within a class.  Its column in
+    # the canonical echelon counts down from the last variable, so that each
+    # stored row's pivot is the free variable that row belongs to.
+    keys = [(i, j) for i, j in all_pairs if not ((j, i) in rel.pairs and (j, i) < (i, j))]
+    column = {pair: len(keys) - 1 - v for v, pair in enumerate(keys)}
+    # spots[col]: the positions in all_pairs of that column's pairs, with signs
+    spots: list[list[tuple[int, int]]] = [[] for _ in keys]
+    for pos, (i, j) in enumerate(all_pairs):
+        if (i, j) in column:
+            spots[column[(i, j)]].append((pos, 1))
         else:
-            signed[(i, j)] = (var_index[(j, i)], -1)
-    nvars = len(var_index)
+            spots[column[(j, i)]].append((pos, -1))
 
-    # One echelon over the chain rows gives the rank; the forest rows then
-    # pin the free coboundary directions, and the nullspace of both is the
-    # canonical complement.
+    # Coordinates: t(e) for each element that is not its class's minimum, then
+    # y(a,c) for each cover edge of the condensation.
+    part, dag = rel.partition, rel.condensation
+    t = {e: k for k, e in enumerate(e for members in part.classes for e in members[1:])}
+    y: dict[tuple[int, int], int] = {}
+    for a, cs in enumerate(dag.covers):
+        for c in cs:
+            y[(a, c)] = len(t) + len(y)
+    ncoords = len(t) + len(y)
+    # first[a][b]: the first cover of class a at or below class b
+    first: list[dict[int, int]] = []
+    for cs in dag.covers:
+        step: dict[int, int] = {}
+        for c in cs:
+            for b in (c, *dag.successors[c]):
+                step.setdefault(b, c)
+        first.append(step)
+
+    def path(a: int, b: int) -> Iterator[int]:
+        """The y coordinates along ch(a, b)."""
+        while a != b:
+            c = first[a][b]
+            yield y[(a, c)]
+            a = c
+
+    def x_row(i: int, j: int) -> dict[int, int]:
+        """x(i,j) = t(i) + Y(A,B) - t(j) in coordinates; (i,j) must be related."""
+        row = dict.fromkeys(path(part.class_of(i), part.class_of(j)), 1)
+        if i in t:
+            row[t[i]] = 1
+        if j in t:
+            row[t[j]] = -1
+        return row
+
     echelon = Echelon(RATIONALS)
-    for i, j in all_pairs:
-        for k in rel.successors(j):
-            if k == j or k == i:
-                continue
-            row: dict[int, int] = {}
-            for pair, coeff in (((i, j), 1), ((j, k), 1), ((i, k), -1)):
-                var, sign = signed[pair]
-                row[var] = row.get(var, 0) + sign * coeff
-            echelon.add(row)
+    for a, cs in enumerate(dag.covers):
+        for c in cs:
+            for b in dag.successors[c]:
+                if first[a][b] != c:  # ch(a,b) runs through c itself: no constraint
+                    row = dict.fromkeys(path(c, b), 1)
+                    row[y[(a, c)]] = 1
+                    for k in path(a, b):
+                        row[k] = row.get(k, 0) - 1
+                    echelon.add(row)
 
-    solution_dim = nvars - echelon.rank
+    solution_dim = ncoords - echelon.rank
     forest = rel.forest
     coboundary_dim = rel.n - len(forest.components)
 
     for i, j in sorted(forest.tree_edges):
-        pair = (i, j) if (i, j) in rel.pairs else (j, i)
-        echelon.add({signed[pair][0]: 1})
-    basis = echelon.nullspace(nvars)
+        echelon.add(x_row(i, j) if (i, j) in rel.pairs else x_row(j, i))
+    kernel = echelon.kernel(ncoords)
+    rank = len(kernel)
+    assert rank == solution_dim - coboundary_dim, "forest normalization lost dimensions"
+
+    # Expand the kernel into x through the columns each coordinate feeds,
+    # touching only nonzero coordinates.
+    canonical = Echelon(RATIONALS)
+    if kernel:
+        feeds: list[list[tuple[int, int]]] = [[] for _ in range(ncoords)]
+        for (i, j), col in column.items():
+            for k, sign in x_row(i, j).items():
+                feeds[k].append((col, sign))
+        for z in kernel:
+            vec: dict[int, Fraction] = {}
+            for k, v in z.items():
+                for col, sign in feeds[k]:
+                    vec[col] = vec.get(col, 0) + sign * v
+            canonical.add(vec)
 
     vectors = []
-    for vec in basis:
-        expanded = [signed[p][1] * vec[signed[p][0]] for p in all_pairs]
-        vectors.append(_primitive_integer(Fraction(v) for v in expanded))
-    rank = len(vectors)
-    assert rank == solution_dim - coboundary_dim, "forest normalization lost dimensions"
+    for pivot in sorted(canonical.rows, reverse=True):  # free column ascending
+        expanded: list = [0] * len(all_pairs)
+        for col, v in canonical.rows[pivot].items():
+            for pos, sign in spots[col]:
+                expanded[pos] = v if sign > 0 else -v
+        vectors.append(_primitive_integer(expanded))
     return CocycleBasis(rank, all_pairs, tuple(vectors))

@@ -131,6 +131,17 @@ class TestEnumeration:
         # one product per choice of one transversal element per level
         assert prod(len(level) for level in _transversals(rel)) == count
 
+    @pytest.mark.parametrize(
+        "rel",
+        [crown(k) for k in range(4, 8)] + [Relation.identity(8)],
+        ids=[f"crown{2 * k}" for k in range(4, 8)] + ["identity8"],
+    )
+    def test_listed_images_are_bijections(self, rel):
+        # the listing builds its permutations without Permutation's own check
+        everything = list(range(1, rel.n + 1))
+        for tau in enumerate_relation_automorphisms(rel, bound=rel.n):
+            assert tau.n == rel.n and sorted(tau.image) == everything
+
 
 class TestPermutationSimilarity:
     def test_entry_convention(self, vee3_block):

@@ -351,6 +351,13 @@ class TestExitCodes:
         assert code == 2
         assert str(phi) in err and "invalid JSON" in err
 
+    def test_malformed_relation_json_names_its_file(self, capsys, tmp_path):
+        rel = tmp_path / "malformed.json"
+        rel.write_text('{"n": 2, "pairs": [[1, 1], [2, 2]')
+        code, _, err = run(capsys, "--json", "validate", str(rel))
+        assert code == 2
+        assert err.startswith(f"error: {rel}: invalid JSON") and "Traceback" not in err
+
     def test_non_integer_characteristic_exits_two(self, capsys, tmp_path):
         rel = tmp_path / "one.json"
         rel.write_text(json.dumps({"n": 1, "pairs": [[1, 1]]}))

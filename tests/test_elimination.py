@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sma import RATIONALS, Relation, Singular, cocycle_rank, enumerate_quasiorders, gf
+from sma import RATIONALS, Relation, Singular, cocycle_rank, enumerate_quasiorders, equivalence_classes, gf
 from sma.algebra import Echelon, identity_grid, invert_grid, matrix_rank
 from sma.relation import transitive_reflexive_closure
 from sma.transitive import CocycleBasis, _primitive_integer
@@ -267,3 +267,52 @@ class TestCocycleRankMatchesDense:
 
     def test_families_reach_nonzero_rank(self):
         assert any(cocycle_rank(rel).rank > 1 for family, _, rel in FAMILIES if family == "random")
+
+
+# ---------------------------------------------------------------------------
+# cocycle_rank on classes of two elements, and past the dense reference's reach
+
+def _with_twin_classes(rel, seed):
+    """rel with a seeded choice of elements grown into 2-element classes, at
+    most 12 elements in all, relabelled by a seeded shuffle."""
+    rng = random.Random(seed)
+    doubled = set(rng.sample(range(1, rel.n + 1), min(rel.n // 2, 12 - rel.n)))
+    labels = list(range(1, rel.n + len(doubled) + 1))
+    rng.shuffle(labels)
+    fresh = iter(labels)
+    members = {e: [next(fresh) for _ in range(2 if e in doubled else 1)] for e in range(1, rel.n + 1)}
+    return Relation.from_pairs(
+        len(labels), [(a, b) for i, j in rel.pairs for a in members[i] for b in members[j]]
+    )
+
+
+TWIN_CLASSES = (
+    [(f"crown{2 * k}_seed{seed}", _with_twin_classes(_crown(2 * k), seed)) for k in (3, 4, 5) for seed in (0, 1)]
+    + [(f"height2_{n}_seed{seed}", _with_twin_classes(_random(n, seed), seed)) for n in (7, 8, 9, 10) for seed in (1, 7)]
+)
+
+
+class TestCocycleRankOnTwinClasses:
+    @pytest.mark.parametrize("rel", [rel for _, rel in TWIN_CLASSES], ids=[name for name, _ in TWIN_CLASSES])
+    def test_matches_dense(self, rel):
+        assert len(equivalence_classes(rel).classes) < rel.n <= 12
+        basis = cocycle_rank(rel)
+        assert basis.rank > 0
+        assert basis == dense_cocycle_rank(rel)
+
+
+class TestCocycleRankClosedForms:
+    @pytest.mark.parametrize("rel", [_total(100), _chain2(60)], ids=["total100", "chain2_60"])
+    def test_chains_of_classes_have_rank_zero(self, rel):
+        assert cocycle_rank(rel) == CocycleBasis(0, rel.off_diagonal_pairs(), ())
+
+    def test_crown_generators_are_the_pairs_off_the_forest(self):
+        # no chain has three elements, so the generators are the unit vectors
+        # of the k(k-1) - (2k-1) pairs that the spanning forest leaves out
+        k = 10
+        rel = _crown(2 * k)
+        basis = cocycle_rank(rel)
+        pairs = rel.off_diagonal_pairs()
+        free = [p for p in pairs if p not in rel.forest.tree_edges]
+        assert basis.rank == k * (k - 1) - 2 * k + 1 == len(free) == 71
+        assert basis.vectors == tuple(tuple(int(q == p) for q in pairs) for p in free)

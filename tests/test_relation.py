@@ -178,6 +178,24 @@ class TestCondensation:
             assert seen == part.p
 
 
+class TestCovers:
+    def test_covers_are_the_edges_with_nothing_between(self):
+        rng = random.Random(7)
+        for _ in range(80):
+            rel = random_quasiorder(rng, rng.randint(1, 8))
+            dag = rel.condensation
+            expected = [
+                tuple(b for b in above if not any((a, c) in dag.edges and (c, b) in dag.edges for c in range(dag.p)))
+                for a, above in enumerate(dag.successors)
+            ]
+            assert dag.covers == tuple(expected)
+
+    def test_total_order_and_crown(self, crown6):
+        total = Relation.from_pairs(4, [(i, j) for i in range(1, 5) for j in range(i, 5)])
+        assert total.condensation.covers == ((1,), (2,), (3,), ())
+        assert crown6.condensation.covers == tuple(crown6.condensation.successors)
+
+
 class TestIsolated:
     def test_sym6_all_isolated(self, sym6):
         part = equivalence_classes(sym6)
