@@ -317,49 +317,51 @@ def _primitive_integer(vec: Iterable[Fraction]) -> tuple[int, ...]:
 def cocycle_rank(rel: Relation) -> CocycleBasis:
     """Dimension and canonical basis of transitive functions modulo coboundaries.
 
-    Additive variables x(i,j) live on off-diagonal pairs, with x(j,i) = -x(i,j)
-    when both directions are present; the cocycles are the x with
-    x(i,j) + x(j,k) = x(i,k) on every chain.  Classes are contractible, and a
-    poset's cocycles are fixed by their values on cover edges, so each cocycle
-    is x(i,j) = t(i) + Y(A,B) - t(j), where A and B are the classes of i and j.
-    The potential t is 0 at each class minimum.  Y(A,B) sums one value y per
-    cover edge of the condensation along ch(A,B): the first cover C of A with
-    C <= B, then ch(C,B).  Such an x is a cocycle iff
-    y(A,C) + Y(C,B) = Y(A,B) for every other cover C of A with C <= B, so those
-    are the only rows reduced, and a total order has none.
+    Additive variables x(i,j) live on off-diagonal pairs; the cocycles are the
+    x with x(i,j) + x(j,k) = x(i,k) on every chain, and the canonical
+    complement of the coboundaries is the cocycles vanishing on the forest.
 
-    The coboundary subspace has dimension n minus the number of comparability
-    components, and the canonical complement is the set of cocycles vanishing
-    on the spanning forest.  Its basis, expanded into x, is reduced once more
-    with the columns reversed.  That reduced row echelon form is unique, and
-    its rows are the canonical nullspace basis of the chain and forest
-    constraints on x: one vector per free column, that column set to 1.
+    Those vanish inside classes.  `_forest` runs Kruskal over the comparability
+    edges in descending (min, max) order, so each vertex's highest-priority
+    edge comes first and is always added.  Let c be the largest member of a
+    class C and W the largest element outside C comparable to C.  If W > c,
+    every member's highest-priority edge is {member, W}; otherwise every other
+    member's is {member, c}.  So any two members u, v of C are forest-adjacent
+    to one hub w, and u, v, w form a chain: x(u,w) = x(v,w) = 0 forces
+    x(u,v) = 0.  Hence x(i,j) = Y(A,B) for the classes A, B of i and j, where
+    Y is a cocycle of the condensation vanishing on the forest's edges between
+    classes; its coboundaries have dimension p minus the components.
+
+    Y(A,B) sums one y per cover edge of the condensation along ch(A,B): the
+    first cover C of A with C <= B, then ch(C,B).  Such a Y is a cocycle iff
+    y(A,C) + Y(C,B) = Y(A,B) for every other cover C of A with C <= B; those
+    are the only rows reduced, and a chain of classes has none.
+
+    The canonical basis is the reduced row echelon form of these cocycles in
+    x, columns in reverse pair order: one row per free column, set to 1.  The
+    x columns of a class pair (A,B) are equal copies and those inside a class
+    are zero, so only the column of (last of A, last of B) can be a pivot: the
+    form is reduced on those columns and copied back onto every pair.
     """
     rel.require_quasi_order()
     all_pairs = rel.off_diagonal_pairs()
-
-    # One variable per pair, up to orientation within a class.  Its column in
-    # the canonical echelon counts down from the last variable, so that each
-    # stored row's pivot is the free variable that row belongs to.
-    keys = [(i, j) for i, j in all_pairs if not ((j, i) in rel.pairs and (j, i) < (i, j))]
-    column = {pair: len(keys) - 1 - v for v, pair in enumerate(keys)}
-    # spots[col]: the positions in all_pairs of that column's pairs, with signs
-    spots: list[list[tuple[int, int]]] = [[] for _ in keys]
-    for pos, (i, j) in enumerate(all_pairs):
-        if (i, j) in column:
-            spots[column[(i, j)]].append((pos, 1))
-        else:
-            spots[column[(j, i)]].append((pos, -1))
-
-    # Coordinates: t(e) for each element that is not its class's minimum, then
-    # y(a,c) for each cover edge of the condensation.
     part, dag = rel.partition, rel.condensation
-    t = {e: k for k, e in enumerate(e for members in part.classes for e in members[1:])}
-    y: dict[tuple[int, int], int] = {}
-    for a, cs in enumerate(dag.covers):
-        for c in cs:
-            y[(a, c)] = len(t) + len(y)
-    ncoords = len(t) + len(y)
+
+    # One column per comparable class pair, counting down from the last pair,
+    # so that each stored row's pivot is the free column that row belongs to.
+    last = [members[-1] for members in part.classes]
+    edges = [(a, b) for a, above in enumerate(dag.successors) for b in above]
+    by_last = sorted(edges, key=lambda ab: (last[ab[0]], last[ab[1]]), reverse=True)
+    column = {ab: col for col, ab in enumerate(by_last)}
+    # spots[col]: the positions in all_pairs of that column's pairs
+    spots: list[list[int]] = [[] for _ in by_last]
+    for pos, (i, j) in enumerate(all_pairs):
+        col = column.get((part.class_of(i), part.class_of(j)))
+        if col is not None:
+            spots[col].append(pos)
+
+    # Coordinates: y(a,c) for each cover edge of the condensation.
+    y = {edge: k for k, edge in enumerate((a, c) for a, cs in enumerate(dag.covers) for c in cs)}
     # first[a][b]: the first cover of class a at or below class b
     first: list[dict[int, int]] = []
     for cs in dag.covers:
@@ -376,15 +378,6 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
             yield y[(a, c)]
             a = c
 
-    def x_row(i: int, j: int) -> dict[int, int]:
-        """x(i,j) = t(i) + Y(A,B) - t(j) in coordinates; (i,j) must be related."""
-        row = dict.fromkeys(path(part.class_of(i), part.class_of(j)), 1)
-        if i in t:
-            row[t[i]] = 1
-        if j in t:
-            row[t[j]] = -1
-        return row
-
     echelon = Echelon(RATIONALS)
     for a, cs in enumerate(dag.covers):
         for c in cs:
@@ -396,36 +389,38 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
                         row[k] = row.get(k, 0) - 1
                     echelon.add(row)
 
-    solution_dim = ncoords - echelon.rank
+    solution_dim = len(y) - echelon.rank
     forest = rel.forest
-    coboundary_dim = rel.n - len(forest.components)
+    coboundary_dim = dag.p - len(forest.components)
 
     for i, j in sorted(forest.tree_edges):
-        echelon.add(x_row(i, j) if (i, j) in rel.pairs else x_row(j, i))
-    kernel = echelon.kernel(ncoords)
+        a, b = part.class_of(i), part.class_of(j)
+        if a != b:
+            echelon.add(dict.fromkeys(path(a, b) if (i, j) in rel.pairs else path(b, a), 1))
+    kernel = echelon.kernel(len(y))
     rank = len(kernel)
     assert rank == solution_dim - coboundary_dim, "forest normalization lost dimensions"
 
-    # Expand the kernel into x through the columns each coordinate feeds,
-    # touching only nonzero coordinates.
+    # Expand the kernel onto the class pairs through the columns each
+    # coordinate feeds, touching only nonzero coordinates.
     canonical = Echelon(RATIONALS)
     if kernel:
-        feeds: list[list[tuple[int, int]]] = [[] for _ in range(ncoords)]
-        for (i, j), col in column.items():
-            for k, sign in x_row(i, j).items():
-                feeds[k].append((col, sign))
+        feeds: list[list[int]] = [[] for _ in y]
+        for (a, b), col in column.items():
+            for k in path(a, b):
+                feeds[k].append(col)
         for z in kernel:
             vec: dict[int, Fraction] = {}
             for k, v in z.items():
-                for col, sign in feeds[k]:
-                    vec[col] = vec.get(col, 0) + sign * v
+                for col in feeds[k]:
+                    vec[col] = vec.get(col, 0) + v
             canonical.add(vec)
 
     vectors = []
     for pivot in sorted(canonical.rows, reverse=True):  # free column ascending
         expanded: list = [0] * len(all_pairs)
         for col, v in canonical.rows[pivot].items():
-            for pos, sign in spots[col]:
-                expanded[pos] = v if sign > 0 else -v
+            for pos in spots[col]:
+                expanded[pos] = v
         vectors.append(_primitive_integer(expanded))
     return CocycleBasis(rank, all_pairs, tuple(vectors))

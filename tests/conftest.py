@@ -1,4 +1,5 @@
-"""Shared fixtures: the golden relations and the two scalar fields.
+"""Shared fixtures: the golden relations and the two scalar fields, and the
+crown and class-growing builders that several test modules share.
 
 Naming: sym6 is symmetric (three mutually incomparable classes of sizes 3, 2,
 1); vee3 has two minimal elements below one maximal; crown6 condenses to four
@@ -35,6 +36,23 @@ CROWN6_BLOCK_PAIRS = [
     (1, 1), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
     (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (5, 5), (5, 6), (6, 5), (6, 6),
 ]
+
+
+
+def crown(n):
+    """Sources 1..k, sinks k+1..2k (k = n // 2), source i below every sink except i+k."""
+    k = n // 2
+    pairs = [(i, i) for i in range(1, n + 1)]
+    pairs += [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if j != i]
+    return Relation.from_pairs(n, pairs)
+
+
+def grown(rel, sizes, labels):
+    """rel with element e grown into a class of sizes[e - 1] members, which
+    take the next of the given labels in turn."""
+    fresh = iter(labels)
+    members = {e: [next(fresh) for _ in range(sizes[e - 1])] for e in range(1, rel.n + 1)}
+    return Relation.from_pairs(sum(sizes), [(a, b) for i, j in rel.pairs for a in members[i] for b in members[j]])
 
 
 @pytest.fixture

@@ -19,6 +19,8 @@ from sma import (
     transitive_reflexive_closure,
 )
 
+from conftest import crown
+
 
 def random_quasiorder(rng, n):
     pairs = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n))}
@@ -166,14 +168,6 @@ def chain_of_pairs(n):
     return Relation.from_pairs(
         n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i - 1) // 2 <= (j - 1) // 2]
     )
-
-
-def crown(n):
-    """Sources 1..k, sinks k+1..2k, source i below every sink except i+k."""
-    k = n // 2
-    pairs = [(i, i) for i in range(1, n + 1)]
-    pairs += [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if j != i]
-    return Relation.from_pairs(n, pairs)
 
 
 class TestIsBlockForm:

@@ -20,6 +20,8 @@ from sma.algebra import Echelon, identity_grid, invert_grid, matrix_rank
 from sma.relation import transitive_reflexive_closure
 from sma.transitive import CocycleBasis, _primitive_integer
 
+from conftest import crown, grown
+
 GF101 = gf(101)
 
 
@@ -225,12 +227,6 @@ def _chain2(n):
     )
 
 
-def _crown(n):
-    k = n // 2
-    below = [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
-    return Relation.from_pairs(n, [(i, i) for i in range(1, n + 1)] + below)
-
-
 def _random(n, seed):
     """A random quasi-order: the closure of random pairs, or (odd seeds) a
     random height-2 order, which keeps nontrivial cocycles."""
@@ -247,7 +243,7 @@ def _random(n, seed):
 FAMILIES = (
     [("total", n, _total(n)) for n in range(6, 11)]
     + [("chain2", n, _chain2(n)) for n in (6, 8, 10)]
-    + [("crown", n, _crown(n)) for n in (6, 8, 10)]
+    + [("crown", n, crown(n)) for n in (6, 8, 10)]
     + [("random", n, _random(n, n)) for n in range(6, 11)]
 )
 
@@ -270,7 +266,7 @@ class TestCocycleRankMatchesDense:
 
 
 # ---------------------------------------------------------------------------
-# cocycle_rank on classes of two elements, and past the dense reference's reach
+# cocycle_rank on classes of two to four elements, and past the dense reference's reach
 
 def _with_twin_classes(rel, seed):
     """rel with a seeded choice of elements grown into 2-element classes, at
@@ -279,16 +275,27 @@ def _with_twin_classes(rel, seed):
     doubled = set(rng.sample(range(1, rel.n + 1), min(rel.n // 2, 12 - rel.n)))
     labels = list(range(1, rel.n + len(doubled) + 1))
     rng.shuffle(labels)
-    fresh = iter(labels)
-    members = {e: [next(fresh) for _ in range(2 if e in doubled else 1)] for e in range(1, rel.n + 1)}
-    return Relation.from_pairs(
-        len(labels), [(a, b) for i, j in rel.pairs for a in members[i] for b in members[j]]
-    )
+    return grown(rel, [2 if e in doubled else 1 for e in range(1, rel.n + 1)], labels)
+
+
+def _shuffled(n, seed):
+    labels = list(range(1, n + 1))
+    random.Random(seed).shuffle(labels)
+    return labels
 
 
 TWIN_CLASSES = (
-    [(f"crown{2 * k}_seed{seed}", _with_twin_classes(_crown(2 * k), seed)) for k in (3, 4, 5) for seed in (0, 1)]
+    [(f"crown{2 * k}_seed{seed}", _with_twin_classes(crown(2 * k), seed)) for k in (3, 4, 5) for seed in (0, 1)]
     + [(f"height2_{n}_seed{seed}", _with_twin_classes(_random(n, seed), seed)) for n in (7, 8, 9, 10) for seed in (1, 7)]
+    # Classes of 3 and 4.  Labelled in order, crown 6's source class {1..4}
+    # lies below its comparable outsiders, so the forest hub is an outsider,
+    # and sink class {7,8,9} lies above them, so its hub is 9; labelled in
+    # reverse, the two swap.
+    + [("crown6_4_3_in_order", grown(crown(6), [4, 1, 1, 3, 1, 1], range(1, 12)))]
+    + [("crown6_4_3_reversed", grown(crown(6), [4, 1, 1, 3, 1, 1], range(11, 0, -1)))]
+    + [(f"crown8_3_3_seed{seed}", grown(crown(8), [3, 1, 1, 1, 1, 3, 1, 1], _shuffled(12, seed))) for seed in (0, 1)]
+    + [(f"height2_8_4_seed{seed}", grown(_random(8, seed), [4, 1, 1, 1, 1, 1, 1, 1], _shuffled(11, seed))) for seed in (1, 3)]
+    + [(f"height2_6_3_4_seed{seed}", grown(_random(6, seed), [1, 3, 1, 4, 1, 1], _shuffled(11, seed))) for seed in (3, 7)]
 )
 
 
@@ -310,9 +317,28 @@ class TestCocycleRankClosedForms:
         # no chain has three elements, so the generators are the unit vectors
         # of the k(k-1) - (2k-1) pairs that the spanning forest leaves out
         k = 10
-        rel = _crown(2 * k)
+        rel = crown(2 * k)
         basis = cocycle_rank(rel)
         pairs = rel.off_diagonal_pairs()
         free = [p for p in pairs if p not in rel.forest.tree_edges]
         assert basis.rank == k * (k - 1) - 2 * k + 1 == len(free) == 71
         assert basis.vectors == tuple(tuple(int(q == p) for q in pairs) for p in free)
+
+
+class TestCocycleRankOnTheCondensation:
+    def test_rank_is_the_condensations(self):
+        # canonical cocycles vanish inside classes, so the rank is that of the
+        # condensation taken as a poset on its p classes, here computed by the
+        # dense reference
+        ranks = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            base = _random(rng.randint(4, 9), seed)
+            sizes = [rng.randint(1, 3) for _ in range(base.n)]
+            sizes[0] = max(sizes[0], 2)
+            rel = grown(base, sizes, _shuffled(sum(sizes), seed))
+            dag = rel.condensation
+            poset = Relation.from_pairs(dag.p, [(a, a) for a in range(1, dag.p + 1)] + [(a + 1, b + 1) for a, b in dag.edges])
+            ranks.append(cocycle_rank(rel).rank)
+            assert ranks[-1] == dense_cocycle_rank(poset).rank
+        assert sum(rank > 0 for rank in ranks) >= 10

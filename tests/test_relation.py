@@ -7,10 +7,13 @@ from sma import (
     ParseError,
     Relation,
     condensation,
+    enumerate_quasiorders,
     equivalence_classes,
     transitive_reflexive_closure,
     validate,
 )
+
+from conftest import crown, grown
 
 
 def brute_reachable(rel, src):
@@ -194,6 +197,50 @@ class TestCovers:
         total = Relation.from_pairs(4, [(i, j) for i in range(1, 5) for j in range(i, 5)])
         assert total.condensation.covers == ((1,), (2,), (3,), ())
         assert crown6.condensation.covers == tuple(crown6.condensation.successors)
+
+
+def _grown_crown(k, seed):
+    """The 2k-element crown with each element grown into a class of 2-4
+    members, relabelled by a seeded shuffle."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 4) for _ in range(2 * k)]
+    labels = list(range(1, sum(sizes) + 1))
+    rng.shuffle(labels)
+    return grown(crown(2 * k), sizes, labels)
+
+
+class TestForestHubs:
+    """The spanning forest joins every member of a class to one hub: the
+    largest comparable element outside the class when that is larger than
+    every member, else the class's largest member.  `cocycle_rank` relies on
+    this to keep its coordinates on the condensation."""
+
+    @staticmethod
+    def hub_cases(rel):
+        """Check each class of two or more members; return whether its hub
+        lies inside it, per class."""
+        cases = []
+        for members in equivalence_classes(rel).classes:
+            if len(members) < 2:
+                continue
+            c = members[-1]
+            outside = [w for w in range(1, rel.n + 1) if w not in members and ((c, w) in rel.pairs or (w, c) in rel.pairs)]
+            hub = max([c, *outside])
+            for u in members:
+                if u != hub:
+                    assert (min(u, hub), max(u, hub)) in rel.forest.tree_edges, (rel, members, hub)
+            cases.append(hub == c)
+        return cases
+
+    def test_every_quasiorder_up_to_four(self):
+        cases = [case for n in range(1, 5) for rel in enumerate_quasiorders(n) for case in self.hub_cases(rel)]
+        assert True in cases and False in cases
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_crowns_with_shuffled_classes(self, k):
+        cases = [case for seed in range(6) for case in self.hub_cases(_grown_crown(k, seed))]
+        assert len(cases) == 6 * 2 * k
+        assert True in cases and False in cases
 
 
 class TestIsolated:
