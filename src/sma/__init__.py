@@ -46,7 +46,6 @@ from .errors import (
     Mismatch,
     NotAutomorphism,
     NotRelationAutomorphism,
-    NotSemisimple,
     NotTransitive,
     OffPattern,
     ParseError,
@@ -57,7 +56,6 @@ from .factor import (
     VerifyReport,
     conjugate_by_block_form,
     factor_automorphism,
-    factor_semisimple,
     verify_automorphism,
 )
 from .oracle import (

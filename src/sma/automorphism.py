@@ -297,10 +297,6 @@ class BasisImageAutomorphism(AutomorphismSpec):
     field: Field
     images_table: tuple[tuple[tuple[int, int], Grid], ...]  # sorted by pair
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int], Grid]:
-        return dict(self.images_table)
-
     @classmethod
     def from_map(cls, relation: Relation, field: Field, images) -> BasisImageAutomorphism:
         pairs = relation.sorted_pairs()
@@ -310,9 +306,6 @@ class BasisImageAutomorphism(AutomorphismSpec):
             raise Mismatch(f"images must cover the relation exactly (missing {missing[:3]}, extra {extra[:3]})")
         table = tuple((p, tuple(tuple(row) for row in images[p])) for p in pairs)
         return cls(relation, field, table)
-
-    def image(self, i: int, j: int) -> Grid:
-        return self._lookup[(i, j)]
 
     def images(self) -> dict[tuple[int, int], Grid]:
         return dict(self.images_table)

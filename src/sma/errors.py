@@ -42,9 +42,5 @@ class NotAutomorphism(SmaError):
     """Map is not an algebra automorphism."""
 
 
-class NotSemisimple(SmaError):
-    """Relation is not symmetric, so the algebra is not semisimple."""
-
-
 class BoundExceeded(SmaError):
     """Instance is larger than the configured enumeration bound."""

@@ -63,8 +63,8 @@ from .algebra import (
     zero_grid,
 )
 from .automorphism import AutomorphismSpec, BasisImageAutomorphism, FactoredAutomorphism
-from .blockform import BlockForm, Permutation, is_semisimple
-from .errors import Mismatch, NotAutomorphism, NotSemisimple, SmaError
+from .blockform import BlockForm, Permutation
+from .errors import Mismatch, NotAutomorphism, SmaError
 from .relation import Relation
 from .transitive import TransitiveFn, canonicalize
 
@@ -280,15 +280,6 @@ def _rank_one(fld: Field, grid: Grid):
             if row != tuple(fld.reduce(c * x) if x else x for x in v):
                 return None
     return tuple(u), v
-
-
-def factor_semisimple(phi: AutomorphismSpec) -> FactoredAutomorphism:
-    """Factor over a symmetric (block diagonal) relation; the scaling is always trivial."""
-    if not is_semisimple(phi.relation):
-        raise NotSemisimple("relation is not symmetric")
-    factored = factor_automorphism(phi)
-    assert not factored.scaling.nontrivial_values(), "block diagonal relations admit only trivial canonical scalings"
-    return factored
 
 
 def conjugate_by_block_form(phi: AutomorphismSpec, bf: BlockForm) -> BasisImageAutomorphism:

@@ -219,11 +219,16 @@ def random_transitive_fn(rel: Relation, field: Field, rng: random.Random) -> Tra
 
 
 def random_factored_automorphism(rel: Relation, field: Field, seed: int) -> FactoredAutomorphism:
-    """Deterministic-in-seed factored automorphism with all three parts random."""
+    """Deterministic-in-seed factored automorphism with all three parts random.
+
+    The relation automorphisms are listed before anything is drawn, so a
+    relation over the enumeration bound raises BoundExceeded at once, before
+    random_invertible redraws (over GF(2) a draw on an n-element chain is
+    invertible with probability 2^-n)."""
     rel.require_quasi_order()
+    taus = enumerate_relation_automorphisms(rel)
     rng = random.Random(seed)
     conjugator = random_invertible(rel, field, rng)
-    taus = enumerate_relation_automorphisms(rel)
     tau = taus[rng.randrange(len(taus))]
     scaling = random_transitive_fn(rel, field, rng)
     return FactoredAutomorphism(conjugator, scaling, tau)

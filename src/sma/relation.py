@@ -7,9 +7,9 @@ the ground set; the order they inherit is an acyclic relation on classes, the
 condensation.
 
 A Relation is frozen, so what the algorithms read about it is computed once,
-on first use, and kept on the object: the sorted pairs, the successor and
-predecessor index, the validation report, the classes, the condensation with
-its cover edges and isolated classes, the spanning forest of the comparability
+on first use, and kept on the object: the sorted pairs, the successor index
+read off them, the validation report, the classes, the condensation with its
+cover edges and isolated classes, the spanning forest of the comparability
 graph, and the default block form.
 """
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidRelation, ParseError
@@ -84,15 +85,8 @@ class Relation:
         rng = range(1, n + 1)
         return cls(n, frozenset((i, j) for i in rng for j in rng))
 
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        return (i, j) in self.pairs
-
     def successors(self, i: int) -> tuple[int, ...]:
-        return self._index[0].get(i, ())
-
-    def predecessors(self, i: int) -> tuple[int, ...]:
-        return self._index[1].get(i, ())
+        return self._index.get(i, ())
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return self._sorted_pairs
@@ -162,7 +156,7 @@ class Relation:
         return tuple(p for p in self._sorted_pairs if p[0] != p[1])
 
     @cached_property
-    def _index(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    def _index(self) -> dict[int, tuple[int, ...]]:
         return _build_index(self)
 
     @cached_property
@@ -195,18 +189,10 @@ class Relation:
         return _block_form(self)
 
 
-def _build_index(rel: Relation) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """Sorted successors and predecessors of each element that occurs in a
-    pair, in one pass over the pairs (elements in no pair get no entry)."""
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
-    for i, j in rel.pairs:
-        succ.setdefault(i, []).append(j)
-        pred.setdefault(j, []).append(i)
-    return (
-        {i: tuple(sorted(js)) for i, js in succ.items()},
-        {j: tuple(sorted(js)) for j, js in pred.items()},
-    )
+def _build_index(rel: Relation) -> dict[int, tuple[int, ...]]:
+    """The sorted successors of each element that is the first of a pair: one
+    run of the sorted pairs each (an element with no successor gets no entry)."""
+    return {i: tuple(j for _, j in run) for i, run in groupby(rel.sorted_pairs(), itemgetter(0))}
 
 
 @dataclass(frozen=True)
@@ -255,7 +241,7 @@ def _violations(rel: Relation) -> Iterator[Violation]:
     for i in range(1, rel.n + 1):
         if (i, i) not in rel.pairs:
             yield Violation("reflexivity", ((i, i),), (i, i))
-    succ = rel._index[0]
+    succ = rel._index
     for i, j in rel.sorted_pairs():
         for k in succ.get(j, ()):
             if (i, k) not in rel.pairs:
@@ -316,7 +302,7 @@ def equivalence_classes(rel: Relation) -> ClassPartition:
 
 def _classes(rel: Relation) -> ClassPartition:
     """In a quasi-order, i and j are mutually related iff they have the same successors."""
-    succ = rel._index[0]
+    succ = rel._index
     members: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, rel.n + 1):
         members.setdefault(succ[i], []).append(i)
@@ -373,7 +359,7 @@ def _condensation(rel: Relation) -> CondensationDAG:
     succeeds its own; representatives ascend with the class index."""
     reps = rel.partition.representatives
     class_of_rep = {rep: a for a, rep in enumerate(reps)}
-    succ = rel._index[0]
+    succ = rel._index
     above = [()] * len(reps)
     for a, rep in enumerate(reps):
         if len(succ[rep]) > 1:  # else rep is its own only successor: nothing above
@@ -386,10 +372,9 @@ def _condensation(rel: Relation) -> CondensationDAG:
 
 @dataclass(frozen=True)
 class Forest:
-    components: tuple[tuple[int, ...], ...]     # vertex sets, sorted
     tree_edges: frozenset[tuple[int, int]]      # stored as (min, max)
     order: tuple[tuple[int, int], ...]          # (parent, child) in propagation order
-    roots: tuple[int, ...]
+    roots: tuple[int, ...]                      # each component's minimum, ascending
 
 
 def comparability_edges(rel: Relation) -> tuple[tuple[int, int], ...]:
@@ -428,7 +413,6 @@ def _forest(rel: Relation) -> Forest:
         adjacency[j].append(i)
 
     seen: set[int] = set()
-    components: list[tuple[int, ...]] = []
     roots: list[int] = []
     order: list[tuple[int, int]] = []
     for root in range(1, n + 1):
@@ -442,6 +426,5 @@ def _forest(rel: Relation) -> Forest:
                     seen.add(v)
                     comp.append(v)
                     order.append((u, v))
-        components.append(tuple(sorted(comp)))
         roots.append(root)
-    return Forest(tuple(components), frozenset(tree), tuple(order), tuple(roots))
+    return Forest(frozenset(tree), tuple(order), tuple(roots))

@@ -391,9 +391,12 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
 
     solution_dim = len(y) - echelon.rank
     forest = rel.forest
-    coboundary_dim = dag.p - len(forest.components)
+    coboundary_dim = dag.p - len(forest.roots)
 
-    for i, j in sorted(forest.tree_edges):
+    # the reduced form is the same in any row order; in descending edge order
+    # each stored row of a total order's star is one entry, where ascending
+    # order rewrites a long stored row at every step
+    for i, j in sorted(forest.tree_edges, reverse=True):
         a, b = part.class_of(i), part.class_of(j)
         if a != b:
             echelon.add(dict.fromkeys(path(a, b) if (i, j) in rel.pairs else path(b, a), 1))

@@ -30,6 +30,13 @@ RELATION_SUBCOMMANDS = [
 ]
 
 
+def child_env():
+    """The environment for `python -m sma.cli` in a child process: this
+    checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -267,14 +274,29 @@ class TestExitCodes:
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps({"images": images}))
         argv = [*sub, str(rel)] + ([str(phi)] if sub in (["verify"], ["factor"]) else [])
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = child_env()
         proc = subprocess.run(
             [sys.executable, "-m", "sma.cli", "--json", *argv],
             capture_output=True, text=True, env=env, timeout=30,
         )
         assert proc.returncode == 1, proc.stderr
         assert "not a quasi-order: missing diagonal pair (3,3)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    # Over GF(2) a conjugator drawn on a 40-element chain is invertible with
+    # probability 2^-40: randphi must refuse the size before drawing one.
+    def test_randphi_over_a_small_field_above_the_bound_exits_one(self, tmp_path):
+        n = 40
+        rel = tmp_path / "total40.json"
+        rel.write_text(json.dumps({"n": n, "pairs": [[i, j] for i in range(1, n + 1) for j in range(i, n + 1)]}))
+        env = child_env()
+        env.pop("SMA_MAX_N", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sma.cli", "--json", "oracle", "randphi", str(rel), "--field", '{"GF": 2}'],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "exceeds the enumeration bound" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     # Symmetric but not transitive: (1,3) and (3,1) are missing.
@@ -312,8 +334,7 @@ class TestExitCodes:
         # first write to stdout fails with EPIPE
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = child_env()
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "sma.cli", "--json", "validate", str(GOLDEN / "sym6.json")],

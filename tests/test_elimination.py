@@ -111,7 +111,7 @@ def dense_cocycle_rank(rel):
                 rows.append(row)
     solution_dim = nvars - (len(dense_rref(RATIONALS, rows)[1]) if rows else 0)
     forest = rel.forest
-    coboundary_dim = rel.n - len(forest.components)
+    coboundary_dim = rel.n - len(forest.roots)
     normalized_rows = list(rows)
     for i, j in sorted(forest.tree_edges):
         pair = (i, j) if (i, j) in rel.pairs else (j, i)

@@ -12,7 +12,6 @@ from sma import (
     InvalidRelation,
     Mismatch,
     NotAutomorphism,
-    NotSemisimple,
     Permutation,
     RATIONALS,
     Relation,
@@ -26,12 +25,12 @@ from sma import (
     enumerate_relation_automorphisms,
     equal_as_maps,
     factor_automorphism,
-    factor_semisimple,
     gf,
     identity_automorphism,
     identity_matrix,
     inner_automorphism,
     is_block_form,
+    is_semisimple,
     matrix_unit,
     permutation_similarity,
     verify_automorphism,
@@ -103,29 +102,37 @@ class TestRoundTrip:
 
 
 class TestSemisimple:
+    def test_symmetric_relations_factor_with_a_trivial_scaling(self, sym6, sym6_block):
+        """A symmetric relation's cocycles are all coboundaries, so the
+        canonical scaling is trivial, though each map carries a random one."""
+        symmetric = [rel for n in range(1, 5) for rel in enumerate_quasiorders(n) if is_semisimple(rel)]
+        assert len(symmetric) == 1 + 2 + 5 + 15  # the equivalence relations, by Bell numbers
+        scaled = 0
+        for rel in symmetric + [sym6, sym6_block]:
+            for field in (RATIONALS, gf(5)):
+                for seed in range(3):
+                    phi = random_factored_automorphism(rel, field, seed)
+                    scaled += bool(phi.scaling.nontrivial_values())
+                    factored = factor_automorphism(phi)
+                    assert factored.scaling.nontrivial_values() == {}
+                    assert equal_as_maps(factored, phi)
+        assert scaled > 0
+
     def test_block_diagonal_inner_map(self, sym6_block):
         rng = random.Random(83)
         for field in (RATIONALS, gf(5)):
             phi = inner_automorphism(random_invertible(sym6_block, field, rng))
-            factored = factor_semisimple(phi)
+            factored = factor_automorphism(phi)
             assert factored.permutation.is_identity()
             assert factored.scaling.nontrivial_values() == {}
             assert equal_as_maps(factored, phi)
 
-    def test_identity_case(self, sym6_block):
-        factored = factor_semisimple(identity_automorphism(sym6_block, RATIONALS))
-        assert factored.conjugator == identity_matrix(RATIONALS, sym6_block)
-        assert factored.permutation.is_identity()
-
     def test_class_swapping_permutation(self, sym6_block):
         tau = Permutation(6, (1, 2, 3, 5, 4, 6))
         phi = permutation_similarity(sym6_block, tau, gf(5))
-        factored = factor_semisimple(phi)
+        factored = factor_automorphism(phi)
+        assert factored.scaling.nontrivial_values() == {}
         assert equal_as_maps(factored, phi)
-
-    def test_rejects_non_semisimple(self, vee3_block):
-        with pytest.raises(NotSemisimple):
-            factor_semisimple(identity_automorphism(vee3_block, RATIONALS))
 
 
 class TestGuards:

@@ -18,6 +18,7 @@ from sma import (
     validate,
     verify_automorphism,
 )
+import sma.oracle as oracle
 from sma.oracle import random_factored_automorphism
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -130,6 +131,18 @@ class TestRandomSpecs:
         a = random_factored_automorphism(crown6_block, gf(5), 1)
         b = random_factored_automorphism(crown6_block, gf(5), 2)
         assert (a.conjugator, a.scaling, a.permutation) != (b.conjugator, b.scaling, b.permutation)
+
+    def test_a_relation_over_the_bound_raises_before_any_draw(self, monkeypatch):
+        """Over GF(2) a random conjugator on an n-element chain is invertible
+        with probability 2^-n, so drawing it first would redraw for ages."""
+        def no_draw(*args):
+            raise AssertionError("drew a conjugator for a relation over the bound")
+
+        monkeypatch.delenv("SMA_MAX_N", raising=False)
+        monkeypatch.setattr(oracle, "random_invertible", no_draw)
+        chain = Relation.from_pairs(12, [(i, j) for i in range(1, 13) for j in range(i, 13)])
+        with pytest.raises(BoundExceeded):
+            random_factored_automorphism(chain, gf(2), 1)
 
     @pytest.mark.parametrize("name, seed", sorted(PINNED_MAPS))
     def test_seeded_maps_are_pinned(self, name, seed):

@@ -16,6 +16,7 @@ from sma import (
     cocycle_rank,
     compose,
     diagonal_matrix,
+    enumerate_quasiorders,
     equal_as_maps,
     gf,
     induced_automorphism,
@@ -24,6 +25,7 @@ from sma import (
     triviality_witness,
     verify_automorphism,
 )
+from sma.oracle import random_transitive_fn
 from sma.transitive import exponential
 
 
@@ -112,19 +114,20 @@ class TestCheckTransitive:
 
 class TestInducedAutomorphism:
     def test_ones_induce_identity(self, vee3_block):
-        G = induced_automorphism(TransitiveFn.ones(vee3_block, RATIONALS)).as_basis_images()
+        images = induced_automorphism(TransitiveFn.ones(vee3_block, RATIONALS)).as_basis_images().images()
         for (i, j) in vee3_block.sorted_pairs():
-            assert G.image(i, j) == matrix_unit(vee3_block, RATIONALS, i, j).rows
+            assert images[(i, j)] == matrix_unit(vee3_block, RATIONALS, i, j).rows
 
     def test_crown_value_scales_one_unit(self, crown6_block):
         g = TransitiveFn.build(crown6_block, RATIONALS, {(1, 4): 2})
         G = induced_automorphism(g).as_basis_images()
         assert verify_automorphism(G).ok
         doubled = matrix_unit(crown6_block, RATIONALS, 1, 4).scale(2)
-        assert G.image(1, 4) == doubled.rows
+        images = G.images()
+        assert images[(1, 4)] == doubled.rows
         for (i, j) in crown6_block.sorted_pairs():
             if (i, j) != (1, 4):
-                assert G.image(i, j) == matrix_unit(crown6_block, RATIONALS, i, j).rows
+                assert images[(i, j)] == matrix_unit(crown6_block, RATIONALS, i, j).rows
 
     def test_coboundary_induces_inner_by_inverted_diagonal(self, vee3_block):
         # With conjugation B -> A^-1 B A, the coboundary of s acts like diag(1/s).
@@ -227,6 +230,26 @@ class TestCanonicalize:
                     s = [field.random_nonzero(rng) for _ in range(rel.n)]
                     shifted = g.pointwise_mul(coboundary(rel, field, s))
                     assert canonicalize(g)[1] == canonicalize(shifted)[1]
+
+    def test_scaling_is_one_at_each_component_minimum(self):
+        """Step 5 of the factor steps relies on this: the conjugator's row at
+        each comparability component's minimum keeps its leading entry 1."""
+        rng = random.Random(59)
+        moved = 0
+        for n in range(1, 5):
+            for rel in enumerate_quasiorders(n):
+                component = {v: {v} for v in range(1, n + 1)}
+                for i, j in rel.pairs:
+                    if component[i] is not component[j]:
+                        merged = component[i] | component[j]
+                        for v in merged:
+                            component[v] = merged
+                minima = {min(c) for c in component.values()}
+                for field in (RATIONALS, gf(5)):
+                    s = canonicalize(random_transitive_fn(rel, field, rng))[0].values
+                    assert all(s[m - 1] == field.one() for m in minima), rel
+                    moved += any(v != field.one() for v in s)
+        assert moved > 0
 
     def test_split_reassembles(self, crown6_block):
         g = TransitiveFn.build(crown6_block, RATIONALS, {(1, 4): Fraction(5, 3)})
