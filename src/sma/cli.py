@@ -30,7 +30,7 @@ from .blockform import (
     render_pattern_grid,
 )
 from .errors import ParseError, SmaError
-from .factor import conjugate_by_block_form, factor_automorphism, verify_automorphism
+from .factor import carry_factors, factor_automorphism, verify_automorphism
 from .oracle import (
     brute_cocycle_rank,
     brute_relation_automorphisms,
@@ -261,20 +261,18 @@ def _cmd_apply(args) -> int:
 def _cmd_factor(args) -> int:
     rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
-    bf = build_block_form(rel)
-    relabelled = not bf.pi.is_identity()
-    if relabelled:  # factor_automorphism takes any layout; this prints the paper's block form
-        phi = conjugate_by_block_form(phi, bf)
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
-    payload = factored.to_json()
-    payload["recomposition_matches"] = True
+    bf = build_block_form(rel)
+    payload = {"recomposition_matches": True}
     lines = []
-    if relabelled:
+    if not bf.pi.is_identity():  # the paper's block-form factors, read off phi's own
+        factored = carry_factors(factored, bf.pi, bf.permuted)
         payload["pi"] = bf.pi.to_json()
         lines.append(
-            "relation was not in block form; factored after relabelling by "
+            "relation was not in block form; factors carried over by "
             + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image))
         )
+    payload.update(factored.to_json())
     lines += [
         f"tau: {factored.permutation.cycle_notation()}  {list(factored.permutation.image)}",
         "g (canonical, value on pairs not listed is 1): "

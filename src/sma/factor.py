@@ -24,9 +24,8 @@ module computes such a splitting:
 
 The steps read classes, not positions, so they factor a map over any layout
 of its relation, and the factors are over that same relation: in block form
-they are the paper's factors, and `sma factor` relabels into block form
-before it factors, for presentation.  Every choice is deterministic, so
-factoring the same map twice returns identical factors.
+they are the paper's factors, and `sma factor` carries them there (carry_factors).
+Every choice is deterministic, so factoring a map twice gives identical factors.
 
 The same splitting certifies automorphisms.  The steps only read the factors
 off the images; the factors' constructors are the one place they are checked
@@ -63,7 +62,7 @@ from .algebra import (
     zero_grid,
 )
 from .automorphism import AutomorphismSpec, BasisImageAutomorphism, FactoredAutomorphism
-from .blockform import BlockForm, Permutation
+from .blockform import BlockForm, Permutation, compose_permutations
 from .errors import Mismatch, NotAutomorphism, SmaError
 from .relation import Relation
 from .transitive import TransitiveFn, canonicalize
@@ -139,15 +138,15 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
 
     # (3) divide out the permutation: Theta = phi o P_(tau^-1) is a unit lookup,
     # which misses exactly when tau does not preserve the relation.  Row j of
-    # the conjugator R is the first nonzero row of Theta(E_jj), row k[j],
-    # scaled by scale[j] so its leading entry, in column lead[j], is 1
+    # a conjugator U is the first nonzero row of Theta(E_jj), row k[j], whose
+    # leading entry is in column lead[j] and has inverse scale[j]
     try:
         theta = {(i, j): images[(tau(i), tau(j))] for (i, j) in rel.sorted_pairs()}
     except KeyError:
         raise NotAutomorphism(
             f"class bijection lifts to {tau.cycle_notation()}, which does not preserve the relation"
         ) from None
-    r, k, lead, scale = [], [], [], []
+    rows, k, lead, scale = [], [], [], []
     for j in range(1, n + 1):
         img = theta[(j, j)]
         row_k = next((x for x, row in enumerate(img) if row != zero_row), None)
@@ -155,31 +154,46 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
             raise NotAutomorphism(f"image of unit ({j},{j}) is zero")
         row = img[row_k]
         c = next(c for c, v in enumerate(row) if v != 0)
-        s = fld.inv(row[c])
-        r.append(tuple(fld.reduce(v * s) for v in row))
+        rows.append(row)
         k.append(row_k)
         lead.append(c)
-        scale.append(s)
+        scale.append(fld.inv(row[c]))
 
-    # (4) Theta(E_ij) = h(i,j) (R^-1 e_i)(e_j^T R) has entry h(i,j) (R^-1)[k][i]
-    # in row k and column lead[j], and (R^-1)[k[i]][i] = Theta(E_ii)[k[i]][lead[i]]
-    # = 1/scale[i], so h(i,j) is one entry times scale[i] (and 1 when i = j).
-    # Nothing is checked here: the factors' constructors check them, and
-    # _certify compares their recomposition with the map
+    # (4) Theta(E_ij) = h(i,j) (U^-1 e_i)(e_j^T U), and (U^-1)[k[i]][i] = 1 as row
+    # k[i] of Theta(E_ii) is U's row i, so h(i,j) is the entry in row k[i] and
+    # column lead[j] times scale[j] (1 when i = j).  Nothing is checked here: the
+    # factors' constructors check them, and _certify compares their recomposition
     hvals: dict[tuple[int, int], object] = {}
     for (i, j) in rel.sorted_pairs():
-        c = fld.reduce(theta[(i, j)][k[i - 1]][lead[j - 1]] * scale[i - 1])
+        c = fld.reduce(theta[(i, j)][k[i - 1]][lead[j - 1]] * scale[j - 1])
         if c == 0:  # TransitiveFn refuses a zero value with ValueError
             raise NotAutomorphism(f"unit ({i},{j}) has scalar 0 against the conjugator")
         hvals[(i, j)] = c
-    h = TransitiveFn.build(rel, fld, hvals)
+    return _normalize(rel, fld, rows, hvals, tau)
 
-    # (5) canonicalize, folding the coboundary into the conjugator: A = diag(1/s) R
-    scaling_vec, g_canonical = canonicalize(h)
-    a = tuple(
-        tuple(fld.reduce(v * s_inv) for v in row) for row, s_inv in zip(r, map(fld.inv, scaling_vec.values))
-    )
+
+def _normalize(rel: Relation, fld: Field, rows: Grid, h: dict, tau: Permutation) -> FactoredAutomorphism:
+    """(5) The canonical factors of B -> A^-1 scale_h(P_tau(B)) A, A with these rows:
+    R is A's rows over their leading entries, and h(i,j) lead(j)/lead(i) splits into
+    a coboundary s(i)/s(j), folded in as diag(1/s) R, and the canonical scaling."""
+    leads = [next(v for v in row if v) for row in rows]
+    t = [fld.inv(v) for v in leads]
+    scaled = {(i, j): fld.reduce(v * leads[j - 1] * t[i - 1]) for (i, j), v in h.items()}
+    s, g_canonical = canonicalize(TransitiveFn.build(rel, fld, scaled))
+    fold = map(fld.div, t, s.values)  # row j of A is row j of the input times t_j / s_j
+    a = tuple(tuple(fld.reduce(v * f) if v else v for v in row) for row, f in zip(rows, fold))
     return FactoredAutomorphism(StructMatrix(fld, rel, a), g_canonical, tau)
+
+
+def carry_factors(factored: FactoredAutomorphism, pi: Permutation, target: Relation) -> FactoredAutomorphism:
+    """Canonical factors carried to the map relabelled by pi, over target = pi(relation):
+    A' = pi^-1.relabel(A), g'(pi(i), pi(j)) = g(i, j), tau' = pi tau pi^-1, renormalized
+    by step 5.  For pi ascending within each class, as a block form's is, tau' is step
+    2's lift, so these are the relabelled map's canonical factors; else they need not be."""
+    pi_inv = pi.inverse()
+    g = {(pi(i), pi(j)): v for (i, j), v in factored.scaling.entries}
+    tau = compose_permutations(pi, compose_permutations(factored.permutation, pi_inv))
+    return _normalize(target, factored.field, pi_inv.relabel(factored.conjugator.rows), g, tau)
 
 
 @dataclass(frozen=True)
@@ -285,7 +299,7 @@ def _rank_one(fld: Field, grid: Grid):
 def conjugate_by_block_form(phi: AutomorphismSpec, bf: BlockForm) -> BasisImageAutomorphism:
     """Transport a map over bf.source to the relabelled algebra over bf.permuted:
     the image of unit (pi(i), pi(j)) is phi's image of unit (i, j), relabelled
-    by pi^-1, one gathered row at a time."""
+    by pi^-1, one gathered row at a time.  `sma factor` carries factors instead."""
     if phi.relation != bf.source:
         raise Mismatch("map is not over the block form's source relation")
     pi, pi_inv = bf.pi, bf.pi.inverse()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 from typing import Iterator
 
 from .algebra import (
@@ -41,6 +42,7 @@ from .transitive import TransitiveFn, cocycle_rank
 BRUTE_AUTOS_BOUND = 8
 BRUTE_RANK_BOUND = 6
 QUASIORDER_BOUND = 4
+MAX_EXPECTED_DRAWS = 10_000  # random_invertible's bound on 1/P
 
 
 def brute_relation_automorphisms(rel: Relation) -> tuple[Permutation, ...]:
@@ -189,7 +191,13 @@ def random_in_pattern(rel: Relation, field: Field, rng: random.Random) -> Struct
 
 
 def random_invertible(rel: Relation, field: Field, rng: random.Random) -> StructMatrix:
-    """Random in-pattern matrix, resampled until invertible."""
+    """Random in-pattern matrix, resampled until invertible.  Over GF(q) a draw is
+    invertible with probability P, the product over classes C of prod_{i<=|C|} (1 - q^-i);
+    when 1/P > MAX_EXPECTED_DRAWS, BoundExceeded is raised before the first draw."""
+    if not field.is_rational:
+        p = prod(1 - field.char ** -i for c in rel.partition.classes for i in range(1, len(c) + 1))
+        if p * MAX_EXPECTED_DRAWS < 1:
+            raise BoundExceeded(f"a random conjugator over {field.name} is invertible with probability {p:.3g}")
     while True:
         m = random_in_pattern(rel, field, rng)
         try:
@@ -222,9 +230,8 @@ def random_factored_automorphism(rel: Relation, field: Field, seed: int) -> Fact
     """Deterministic-in-seed factored automorphism with all three parts random.
 
     The relation automorphisms are listed before anything is drawn, so a
-    relation over the enumeration bound raises BoundExceeded at once, before
-    random_invertible redraws (over GF(2) a draw on an n-element chain is
-    invertible with probability 2^-n)."""
+    relation over the enumeration bound raises BoundExceeded at once;
+    random_invertible refuses a conjugator that is unlikely to be invertible."""
     rel.require_quasi_order()
     taus = enumerate_relation_automorphisms(rel)
     rng = random.Random(seed)

@@ -170,6 +170,45 @@ class TestGoldenValues:
         assert payload["recomposition_matches"] is True
         assert payload["pi"] == [1, 4, 5, 6, 2, 3]
 
+    def test_factor_certifies_the_input_map_and_carries_its_factors(self, capsys, monkeypatch, tmp_path):
+        """On a relation not in block form the factor steps run once, on the
+        map as given; no image is relabelled, and a refusal is that map's own
+        certificate, in the input's labels."""
+        import sma.cli
+        import sma.factor as factor
+        from sma import Relation, gf, spec_from_json
+        from sma.automorphism import BasisImageAutomorphism
+        from sma.oracle import random_factored_automorphism
+
+        def forbidden(*args):
+            raise AssertionError("sma factor relabelled the basis images")
+
+        monkeypatch.setattr(factor, "conjugate_by_block_form", forbidden)
+        monkeypatch.setattr(sma.cli, "conjugate_by_block_form", forbidden, raising=False)
+        calls = []
+        steps = factor._factor_steps
+        monkeypatch.setattr(factor, "_factor_steps", lambda *args: calls.append(args) or steps(*args))
+
+        relfile = str(GOLDEN / "crown6.json")
+        rel = Relation.parse((GOLDEN / "crown6.json").read_text())
+        images = random_factored_automorphism(rel, gf(101), 1).images()
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(BasisImageAutomorphism.from_map(rel, gf(101), images).to_json()))
+        images[(1, 2)] = tuple(tuple(2 * v % 101 for v in row) for row in images[(1, 2)])
+        bad.write_text(json.dumps(BasisImageAutomorphism.from_map(rel, gf(101), images).to_json()))
+
+        code, out, err = run(capsys, "--json", "factor", relfile, str(good))
+        assert code == 0, err
+        assert json.loads(out)["pi"] == [1, 4, 5, 6, 2, 3]
+        assert len(calls) == 1 and calls[0][0] == rel
+
+        calls.clear()
+        code, out, err = run(capsys, "--json", "factor", relfile, str(bad))
+        assert (code, out, len(calls)) == (1, "", 1)
+        certificate = spec_from_json(json.loads(bad.read_text()), rel).certificate
+        assert err == f"error: {certificate}\n"
+        assert "g(1,2)*g(2,3)" in certificate  # the unit whose image was broken, unrelabelled
+
 
 class TestExitCodes:
     def test_invalid_relation_exits_one(self, capsys, tmp_path):

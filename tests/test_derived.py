@@ -33,6 +33,7 @@ from sma import (
     validate,
     verify_automorphism,
 )
+from sma.factor import carry_factors
 from sma.relation import ValidationReport, Violation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,32 +154,61 @@ def test_identity_on_ten_thousand_elements():
 COMPUTATIONS = ("_build_index", "_validate", "_classes", "_condensation", "_forest")
 
 
-def test_verify_then_factor_computes_each_structure_once_per_relation(monkeypatch):
+def _fresh_crown6_map():
     text = (ROOT / "golden" / "crown6.json").read_text()
     generated = random_factored_automorphism(Relation.parse(text), gf(101), 11)
     rel = Relation.parse(text)  # fresh, as the CLI reads it; not in block form
-    phi = spec_from_json(generated.as_basis_images().to_json(), rel)
+    return rel, spec_from_json(generated.as_basis_images().to_json(), rel)
 
+
+def _count_computations(monkeypatch):
+    """The relations each structure is computed on, from here on."""
     seen = {name: [] for name in COMPUTATIONS}
     for name in COMPUTATIONS:
         def counting(r, _name=name, _compute=getattr(relation_module, name)):
             seen[_name].append(r)
             return _compute(r)
         monkeypatch.setattr(relation_module, name, counting)
+    return seen
+
+
+def _assert_once_per_relation(seen):
+    # equal relations count as one: the relabelled relation is built once
+    for name, relations in seen.items():
+        assert len(relations) == len(set(relations)), f"{name} ran twice on equal relations"
+
+
+def test_verify_then_factor_computes_each_structure_once_per_relation(monkeypatch):
+    rel, phi = _fresh_crown6_map()
+    seen = _count_computations(monkeypatch)
 
     assert verify_automorphism(phi).ok
     target = conjugate_by_block_form(phi, build_block_form(rel))
     factored = factor_automorphism(target)
     assert factored.images() == target.images()
 
-    # equal relations count as one: the relabelled relation is built once
-    for name, relations in seen.items():
-        assert len(relations) == len(set(relations)), f"{name} ran twice on equal relations"
+    _assert_once_per_relation(seen)
     assert any(r is rel for r in seen["_validate"])
     assert seen["_forest"]
     assert build_block_form(rel) is build_block_form(rel)
     overridden = build_block_form(rel, class_order_override=(0, 3, 1, 2))  # the default order
     assert overridden == build_block_form(rel) and overridden is not build_block_form(rel)
+
+
+def test_verify_then_carried_factors_compute_each_structure_once_per_relation(monkeypatch):
+    """`sma factor`'s path: the input map's own certificate, then its factors
+    carried over the block form's relabelling."""
+    rel, phi = _fresh_crown6_map()
+    seen = _count_computations(monkeypatch)
+
+    assert verify_automorphism(phi).ok
+    bf = build_block_form(rel)
+    carried = carry_factors(factor_automorphism(phi), bf.pi, bf.permuted)
+    assert carried.relation is bf.permuted
+
+    _assert_once_per_relation(seen)
+    assert any(r is rel for r in seen["_validate"])
+    assert any(r is rel for r in seen["_forest"]) and any(r is bf.permuted for r in seen["_forest"])
 
 
 def test_sorted_pairs_are_sorted_once(crown6):

@@ -21,6 +21,7 @@ from sma import (
     canonicalize,
     compose,
     conjugate_by_block_form,
+    conjugate_relation,
     enumerate_quasiorders,
     enumerate_relation_automorphisms,
     equal_as_maps,
@@ -240,6 +241,62 @@ class TestBlockFormTransport:
                 phi = random_factored_automorphism(rel, field, k)
                 for spec in (phi, phi.as_basis_images()):
                     assert conjugate_by_block_form(spec, bf) == reference(spec, bf)
+
+
+def ascending_relabelling(rel, rng):
+    """A seeded permutation that sends each class, ascending, onto ascending positions."""
+    slots = list(range(1, rel.n + 1))
+    rng.shuffle(slots)
+    mapping = {}
+    for cls in rel.partition.classes:
+        mapping.update(zip(cls, sorted(slots[e - 1] for e in cls)))
+    return Permutation.from_mapping(rel.n, mapping)
+
+
+def relabelled(phi, sigma):
+    """The map over sigma(relation) that sends unit (sigma(i), sigma(j)) to
+    sigma^-1.relabel(phi(E_ij)), built image by image."""
+    sigma_inv = sigma.inverse()
+    moved = {(sigma(i), sigma(j)): sigma_inv.relabel(img) for (i, j), img in phi.images().items()}
+    return BasisImageAutomorphism.from_map(conjugate_relation(phi.relation, sigma), phi.field, moved)
+
+
+class TestCarryFactors:
+    """Carrying canonical factors over a relabelling that is ascending within
+    each class gives the canonical factors of the relabelled map."""
+
+    RELATIONS = [rel for n in range(1, 5) for rel in enumerate_quasiorders(n)]
+
+    def test_factoring_commutes_with_relabelling(self, sym6, crown6, vee3):
+        rng = random.Random(19)
+        for k, rel in enumerate(self.RELATIONS + [sym6, crown6, vee3]):
+            sigma = ascending_relabelling(rel, rng)
+            target = conjugate_relation(rel, sigma)
+            for field in (RATIONALS, gf(5), gf(101)):
+                phi = random_factored_automorphism(rel, field, k)
+                expected = factor_automorphism(relabelled(phi, sigma))
+                for spec in (phi, phi.as_basis_images()):
+                    assert factor.carry_factors(factor_automorphism(spec), sigma, target) == expected
+
+    def test_carried_factors_are_those_of_the_block_form_copy(self, sym6, crown6, vee3):
+        for k, rel in enumerate(self.RELATIONS + [sym6, crown6, vee3]):
+            bf = build_block_form(rel)
+            if bf.pi.is_identity():
+                continue
+            for field in (RATIONALS, gf(5), gf(101)):
+                phi = random_factored_automorphism(rel, field, k).as_basis_images()
+                carried = factor.carry_factors(factor_automorphism(phi), bf.pi, bf.permuted)
+                assert carried == factor_automorphism(conjugate_by_block_form(phi, bf))
+
+    def test_a_relabelling_that_reorders_a_class_can_leave_the_factors_not_canonical(self):
+        two_pairs = Relation.from_pairs(4, [(i, j) for c in ((1, 2), (3, 4)) for i in c for j in c])
+        swap_classes = permutation_similarity(two_pairs, Permutation(4, (3, 4, 1, 2)), gf(101))
+        phi = compose(inner_automorphism(random_invertible(two_pairs, gf(101), random.Random(4))), swap_classes)
+        sigma = Permutation(4, (2, 1, 3, 4))  # reorders the class {1, 2}
+        carried = factor.carry_factors(factor_automorphism(phi), sigma, two_pairs)
+        moved = relabelled(phi, sigma)
+        assert equal_as_maps(carried, moved)
+        assert carried.permutation.image == (4, 3, 2, 1) != factor_automorphism(moved).permutation.image
 
 
 def solved_conjugator(field, images, m):

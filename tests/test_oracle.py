@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,29 @@ class TestRandomSpecs:
         chain = Relation.from_pairs(12, [(i, j) for i in range(1, 13) for j in range(i, 13)])
         with pytest.raises(BoundExceeded):
             random_factored_automorphism(chain, gf(2), 1)
+
+    def test_a_conjugator_unlikely_to_be_invertible_is_refused_before_any_draw(self, monkeypatch, capsys):
+        """Over GF(2) a draw on an n-element chain is invertible with
+        probability 2^-n: 1/P = 1024 draws at n = 10 is under the bound,
+        2^24 at n = 24 is over it, and a 13-element class costs under 4."""
+        from sma.cli import main
+
+        def chain(n):
+            return Relation.from_pairs(n, [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)])
+
+        monkeypatch.setenv("SMA_MAX_N", "24")
+        assert random_factored_automorphism(chain(10), gf(2), 1).permutation.is_identity()
+        assert oracle.random_invertible(Relation.full(13), gf(2), random.Random(1)).n == 13
+
+        def no_draw(*args):
+            raise AssertionError("drew a conjugator that is unlikely to be invertible")
+
+        monkeypatch.setattr(oracle, "random_in_pattern", no_draw)
+        with pytest.raises(BoundExceeded, match="invertible with probability 5.96e-08"):
+            random_factored_automorphism(chain(24), gf(2), 1)
+        with pytest.raises(BoundExceeded):
+            oracle.random_invertible(chain(14), gf(2), None)
+        assert oracle.MAX_EXPECTED_DRAWS == 10_000
 
     @pytest.mark.parametrize("name, seed", sorted(PINNED_MAPS))
     def test_seeded_maps_are_pinned(self, name, seed):
