@@ -11,11 +11,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import Grid
 from .errors import InvalidOverride
 from .relation import ClassPartition, CondensationDAG, Relation
+
+if TYPE_CHECKING:
+    from .algebra import Grid
 
 
 @dataclass(frozen=True)

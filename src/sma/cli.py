@@ -5,7 +5,8 @@ singular matrix, ...) or a standard output pipe whose reader closed it
 before the output was written, 2 usage or parse errors.  No exit prints a
 traceback.  Every subcommand but `validate` refuses a relation that is not a
 quasi-order (exit 1).  `--json` switches every subcommand to machine-readable
-output.
+output.  Each subcommand imports the modules it calls, so a command that only
+reads a relation loads no algebra.
 """
 
 from __future__ import annotations
@@ -15,30 +16,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import Field, StructMatrix
-from .automorphism import enumerate_relation_automorphisms, spec_from_json
-from .blockform import (
-    BlockForm,
-    block_pattern,
-    build_block_form,
-    class_order_permutation,
-    compose_permutations,
-    is_semisimple,
-    render_block_pattern,
-    render_pattern_grid,
-)
 from .errors import ParseError, SmaError
-from .factor import carry_factors, factor_automorphism, verify_automorphism
-from .oracle import (
-    brute_cocycle_rank,
-    brute_relation_automorphisms,
-    enumerate_quasiorders,
-    random_factored_automorphism,
-)
 from .relation import Relation, equivalence_classes, parse_json, validate
-from .transitive import ScalingVector, TransitiveFn, cocycle_rank, triviality_witness
+
+if TYPE_CHECKING:
+    from .blockform import BlockForm
 
 RANK_CAVEAT = (
     "rank counts independent multiplicative parameters over the rationals; "
@@ -87,6 +72,8 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _load_block_form(args) -> BlockForm:
     """The block form of the relation argument, in the --class-order layout when given."""
+    from .blockform import build_block_form
+
     rel = _load_relation(args.relation, args.close_reflexive)
     if not args.class_order:
         return build_block_form(rel)
@@ -132,6 +119,8 @@ def _cmd_classes(args) -> int:
 
 
 def _blockform_payload(bf):
+    from .blockform import block_pattern, class_order_permutation, compose_permutations
+
     part = bf.partition
     stage1 = class_order_permutation(part, range(part.p))
     isolation = compose_permutations(bf.pi, stage1.inverse())
@@ -151,6 +140,8 @@ def _blockform_payload(bf):
 
 
 def _cmd_blockform(args) -> int:
+    from .blockform import render_pattern_grid
+
     bf = _load_block_form(args)
     payload = _blockform_payload(bf)
     lines = [
@@ -167,6 +158,8 @@ def _cmd_blockform(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
+    from .blockform import block_pattern, render_block_pattern
+
     bf = _load_block_form(args)
     pat = block_pattern(bf)
     payload = {
@@ -179,6 +172,8 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_semisimple(args) -> int:
+    from .blockform import is_semisimple
+
     rel = _load_relation(args.relation, args.close_reflexive)
     result = is_semisimple(rel)
     _emit(args, {"semisimple": result}, "semisimple" if result else "not semisimple")
@@ -186,6 +181,8 @@ def _cmd_semisimple(args) -> int:
 
 
 def _cmd_autos(args) -> int:
+    from .automorphism import enumerate_relation_automorphisms
+
     rel = _load_relation(args.relation, args.close_reflexive)
     autos = enumerate_relation_automorphisms(rel)
     payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
@@ -196,6 +193,8 @@ def _cmd_autos(args) -> int:
 
 
 def _cmd_transrank(args) -> int:
+    from .transitive import cocycle_rank
+
     rel = _load_relation(args.relation, args.close_reflexive)
     basis = cocycle_rank(rel)
     generators = [
@@ -213,6 +212,8 @@ def _cmd_transrank(args) -> int:
 
 
 def _cmd_trivial(args) -> int:
+    from .transitive import ScalingVector, TransitiveFn, triviality_witness
+
     rel = _load_relation(args.relation, args.close_reflexive)
     g = TransitiveFn.from_json(_load_json(args.fn), rel)
     witness = triviality_witness(g)
@@ -235,6 +236,9 @@ def _cmd_trivial(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .automorphism import spec_from_json
+    from .factor import verify_automorphism
+
     rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
     report = verify_automorphism(phi)
@@ -245,6 +249,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .algebra import StructMatrix
+    from .automorphism import spec_from_json
+
     rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
     m = StructMatrix.from_json(_load_json(args.matrix), rel)
@@ -259,15 +266,21 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from .automorphism import spec_from_json
+    from .blockform import build_block_form
+    from .factor import carry_factors, factor_automorphism
+
     rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
     bf = build_block_form(rel)
     payload = {"recomposition_matches": True}
     lines = []
+    reproduced = "the input map"
     if not bf.pi.is_identity():  # the paper's block-form factors, read off phi's own
         factored = carry_factors(factored, bf.pi, bf.permuted)
         payload["pi"] = bf.pi.to_json()
+        reproduced = "the input map relabelled by pi"
         lines.append(
             "relation was not in block form; factors carried over by "
             + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image))
@@ -282,13 +295,15 @@ def _cmd_factor(args) -> int:
     lines += ["  " + "  ".join(str(v) for v in row) for row in factored.conjugator.rows]
     lines.append(
         "verification: recomposing inner(A) o scaling(g) o permutation(tau) "
-        "reproduces the input map exactly"
+        f"reproduces {reproduced} exactly"
     )
     _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def _cmd_oracle_autos(args) -> int:
+    from .oracle import brute_relation_automorphisms
+
     rel = _load_relation(args.relation, args.close_reflexive)
     autos = brute_relation_automorphisms(rel)
     payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
@@ -297,18 +312,25 @@ def _cmd_oracle_autos(args) -> int:
 
 
 def _cmd_oracle_rank(args) -> int:
+    from .oracle import brute_cocycle_rank
+
     rank = brute_cocycle_rank(_load_relation(args.relation, args.close_reflexive))
     _emit(args, {"rank": rank}, f"rank: {rank} (brute force)")
     return 0
 
 
 def _cmd_oracle_quasiorders(args) -> int:
+    from .oracle import enumerate_quasiorders
+
     count = sum(1 for _ in enumerate_quasiorders(args.n))
     _emit(args, {"n": args.n, "count": count}, f"{count} quasi-orders on {args.n} elements")
     return 0
 
 
 def _cmd_oracle_randphi(args) -> int:
+    from .algebra import Field
+    from .oracle import random_factored_automorphism
+
     rel = _load_relation(args.relation, args.close_reflexive)
     field_obj = args.field
     if field_obj.lstrip().startswith("{"):

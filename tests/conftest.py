@@ -9,6 +9,9 @@ below both sink classes {2,3} and {4}, so the class comparability graph is a
 upper triangular form.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from sma import RATIONALS, Relation, gf
@@ -37,6 +40,13 @@ CROWN6_BLOCK_PAIRS = [
     (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (5, 5), (5, 6), (6, 5), (6, 6),
 ]
 
+
+
+def child_env():
+    """The environment for `python -m sma.cli` in a child process: this
+    checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def crown(n):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from sma.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -28,13 +29,6 @@ RELATION_SUBCOMMANDS = [
     ["oracle", "autos"],
     ["oracle", "rank"],
 ]
-
-
-def child_env():
-    """The environment for `python -m sma.cli` in a child process: this
-    checkout's src first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -208,6 +202,37 @@ class TestGoldenValues:
         certificate = spec_from_json(json.loads(bad.read_text()), rel).certificate
         assert err == f"error: {certificate}\n"
         assert "g(1,2)*g(2,3)" in certificate  # the unit whose image was broken, unrelabelled
+
+    def test_factor_transcript_names_the_map_its_factors_recompose_to(self, capsys, tmp_path):
+        """Factors carried over pi recompose to the input map relabelled by pi,
+        and the transcript's last line says so; in block form it names the input map."""
+        from sma import Relation, build_block_form, conjugate_by_block_form, equal_as_maps, spec_from_json
+
+        code, out, err = run(
+            capsys, "--json", "oracle", "randphi", str(GOLDEN / "vee3.json"), "--field", '{"GF": 101}', "--seed", "1"
+        )
+        assert code == 0, err
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(out)
+        verification = "verification: recomposing inner(A) o scaling(g) o permutation(tau) reproduces "
+
+        code, out, err = run(capsys, "factor", str(GOLDEN / "vee3.json"), str(phi_path))
+        assert code == 0, err
+        assert out.splitlines()[-1] == verification + "the input map relabelled by pi exactly"
+        code, out, err = run(capsys, "--json", "factor", str(GOLDEN / "vee3.json"), str(phi_path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload.pop("pi") == [1, 3, 2] and payload.pop("recomposition_matches") is True
+        rel = Relation.parse((GOLDEN / "vee3.json").read_text())
+        bf = build_block_form(rel)
+        relabelled = conjugate_by_block_form(spec_from_json(json.loads(phi_path.read_text()), rel), bf)
+        assert equal_as_maps(spec_from_json(payload, bf.permuted), relabelled)
+
+        code, out, err = run(
+            capsys, "factor", str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json")
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1] == verification + "the input map exactly"
 
 
 class TestExitCodes:
