@@ -5,7 +5,15 @@ singular matrix, ...) or a standard output pipe whose reader closed it
 before the output was written, 2 usage or parse errors.  No exit prints a
 traceback.  Every subcommand but `validate` refuses a relation that is not a
 quasi-order (exit 1).  `--json` switches every subcommand to machine-readable
-output.  Each subcommand imports the modules it calls, so a command that only
+output.  Every file argument is read as UTF-8; one that cannot be read or
+decoded is a parse error.
+
+A subcommand is a function of the parsed arguments and the loaded relation
+(None for `oracle quasiorders`, the one subcommand without a relation file).
+It returns its JSON payload, its human text and, when it is not 0, its exit
+code.  `main` alone loads the relation, applies `--close-reflexive` and the
+quasi-order gate, prints the payload or the text, and maps errors to exit
+codes.  Each subcommand imports the modules it calls, so a command that only
 reads a relation loads no algebra.
 """
 
@@ -33,8 +41,8 @@ RANK_CAVEAT = (
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -46,11 +54,11 @@ def _load_json(path: str):
 MAX_CLOSE_REFLEXIVE_N = 100_000
 
 
-def _load_relation(path: str, close_reflexive: bool, require_quasi_order: bool = True) -> Relation:
-    """The relation argument, after --close-reflexive; unless told otherwise,
-    InvalidRelation when it is not a quasi-order."""
-    rel = Relation.parse(_read_text(path), path)
-    if close_reflexive:
+def _load_relation(args) -> Relation:
+    """The relation argument, after --close-reflexive; InvalidRelation when it
+    is not a quasi-order, unless the subcommand is `validate`."""
+    rel = Relation.parse(_read_text(args.relation), args.relation)
+    if args.close_reflexive:
         if rel.n > MAX_CLOSE_REFLEXIVE_N:
             raise ParseError(
                 f"--close-reflexive accepts n up to {MAX_CLOSE_REFLEXIVE_N}, got n = {rel.n}"
@@ -58,28 +66,20 @@ def _load_relation(path: str, close_reflexive: bool, require_quasi_order: bool =
         missing = {(i, i) for i in range(1, rel.n + 1)} - rel.pairs
         if missing:
             rel = Relation(rel.n, rel.pairs | missing)
-    if require_quasi_order:
+    if args.command != "validate":
         rel.require_quasi_order()
     return rel
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
-def _load_block_form(args) -> BlockForm:
-    """The block form of the relation argument, in the --class-order layout when given."""
+def _block_form(args, rel: Relation) -> BlockForm:
+    """The relation's block form, in the --class-order layout when given."""
     from .blockform import build_block_form
 
-    rel = _load_relation(args.relation, args.close_reflexive)
-    if not args.class_order:
+    if args.class_order is None:
         return build_block_form(rel)
     p = equivalence_classes(rel).p
     try:
-        order = [int(tok) - 1 for tok in args.class_order.split(",")]
+        order = [int(tok) - 1 for tok in args.class_order.split(",")] if args.class_order else []
     except ValueError as exc:
         raise ParseError(f"--class-order must be comma-separated integers: {exc}") from exc
     if sorted(order) != list(range(p)):
@@ -87,8 +87,14 @@ def _load_block_form(args) -> BlockForm:
     return build_block_form(rel, order)
 
 
-def _cmd_validate(args) -> int:
-    rel = _load_relation(args.relation, args.close_reflexive, require_quasi_order=False)
+def _pattern_rows(bf: BlockForm) -> list[str]:
+    """The block pattern, one string of F (full block) and 0 per block row."""
+    from .blockform import block_pattern
+
+    return ["".join("F" if c else "0" for c in row) for row in block_pattern(bf).full]
+
+
+def _cmd_validate(args, rel: Relation):
     report = validate(rel)
     payload = {
         "ok": report.ok,
@@ -99,12 +105,10 @@ def _cmd_validate(args) -> int:
     lines += [f"  {v}" for v in report.violations]
     if report.truncated:
         lines.append("  (more violations suppressed)")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if report.ok else 1
+    return payload, "\n".join(lines), 0 if report.ok else 1
 
 
-def _cmd_classes(args) -> int:
-    rel = _load_relation(args.relation, args.close_reflexive)
+def _cmd_classes(args, rel: Relation):
     part = equivalence_classes(rel)
     payload = {
         "classes": [list(c) for c in part.classes],
@@ -114,18 +118,17 @@ def _cmd_classes(args) -> int:
         f"class {k + 1}: {{{', '.join(map(str, cls))}}} (representative {cls[0]})"
         for k, cls in enumerate(part.classes)
     ]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _blockform_payload(bf):
-    from .blockform import block_pattern, class_order_permutation, compose_permutations
+def _cmd_blockform(args, rel: Relation):
+    from .blockform import class_order_permutation, compose_permutations, render_pattern_grid
 
+    bf = _block_form(args, rel)
     part = bf.partition
     stage1 = class_order_permutation(part, range(part.p))
     isolation = compose_permutations(bf.pi, stage1.inverse())
-    pat = block_pattern(bf)
-    return {
+    payload = {
         "pi": bf.pi.to_json(),
         "pi_cycles": bf.pi.cycle_notation(),
         "stage1_pi": stage1.to_json(),
@@ -135,15 +138,8 @@ def _blockform_payload(bf):
         "num_comparable": bf.num_comparable,
         "num_isolated": bf.num_isolated,
         "permuted_pairs": [list(p) for p in bf.permuted.sorted_pairs()],
-        "pattern": ["".join("F" if c else "0" for c in row) for row in pat.full],
+        "pattern": _pattern_rows(bf),
     }
-
-
-def _cmd_blockform(args) -> int:
-    from .blockform import render_pattern_grid
-
-    bf = _load_block_form(args)
-    payload = _blockform_payload(bf)
     lines = [
         "permutation: " + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image)),
         f"cycles: {bf.pi.cycle_notation()}",
@@ -153,49 +149,36 @@ def _cmd_blockform(args) -> int:
         "",
         render_pattern_grid(bf),
     ]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_pattern(args) -> int:
-    from .blockform import block_pattern, render_block_pattern
-
-    bf = _load_block_form(args)
-    pat = block_pattern(bf)
-    payload = {
-        "p": pat.p,
-        "pattern": ["".join("F" if c else "0" for c in row) for row in pat.full],
-        "block_sizes": list(bf.block_sizes),
-    }
-    _emit(args, payload, render_block_pattern(pat))
-    return 0
+def _cmd_pattern(args, rel: Relation):
+    bf = _block_form(args, rel)
+    rows = _pattern_rows(bf)
+    payload = {"p": bf.p, "pattern": rows, "block_sizes": list(bf.block_sizes)}
+    return payload, "\n".join(" ".join(row) for row in rows)
 
 
-def _cmd_semisimple(args) -> int:
+def _cmd_semisimple(args, rel: Relation):
     from .blockform import is_semisimple
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     result = is_semisimple(rel)
-    _emit(args, {"semisimple": result}, "semisimple" if result else "not semisimple")
-    return 0
+    return {"semisimple": result}, "semisimple" if result else "not semisimple"
 
 
-def _cmd_autos(args) -> int:
+def _cmd_autos(args, rel: Relation):
     from .automorphism import enumerate_relation_automorphisms
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     autos = enumerate_relation_automorphisms(rel)
     payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
     lines = [f"{len(autos)} relation automorphisms:"]
     lines += [f"  {t.cycle_notation():<20} {list(t.image)}" for t in autos]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_transrank(args) -> int:
+def _cmd_transrank(args, rel: Relation):
     from .transitive import cocycle_rank
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     basis = cocycle_rank(rel)
     generators = [
         {f"{i},{j}": e for (i, j), e in basis.exponents(k).items()}
@@ -207,14 +190,12 @@ def _cmd_transrank(args) -> int:
         terms = ", ".join(f"({i},{j})^{e}" for (i, j), e in sorted(basis.exponents(k).items()))
         lines.append(f"  generator {k + 1}: {terms}")
     lines.append(f"note: {RANK_CAVEAT}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_trivial(args) -> int:
+def _cmd_trivial(args, rel: Relation):
     from .transitive import ScalingVector, TransitiveFn, triviality_witness
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     g = TransitiveFn.from_json(_load_json(args.fn), rel)
     witness = triviality_witness(g)
     if isinstance(witness, ScalingVector):
@@ -231,46 +212,39 @@ def _cmd_trivial(args) -> int:
             + " -> ".join(map(str, witness.vertices))
             + f" has oriented product {witness.product}"
         )
-    _emit(args, payload, human)
-    return 0
+    return payload, human
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, rel: Relation):
     from .automorphism import spec_from_json
     from .factor import verify_automorphism
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
     report = verify_automorphism(phi)
     payload = {"ok": report.ok, "check": report.check, "detail": report.detail}
     human = "automorphism verified" if report.ok else f"not an automorphism ({report.check}): {report.detail}"
-    _emit(args, payload, human)
-    return 0 if report.ok else 1
+    return payload, human, 0 if report.ok else 1
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args, rel: Relation):
     from .algebra import StructMatrix
     from .automorphism import spec_from_json
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
     m = StructMatrix.from_json(_load_json(args.matrix), rel)
     result = phi.apply(m)
-    payload = result.to_json()
     lines = [
         "  ".join(str(v) for v in row)
         for row in result.rows
     ]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return result.to_json(), "\n".join(lines)
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args, rel: Relation):
     from .automorphism import spec_from_json
     from .blockform import build_block_form
     from .factor import carry_factors, factor_automorphism
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     phi = spec_from_json(_load_json(args.phi), rel)
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
     bf = build_block_form(rel)
@@ -297,48 +271,40 @@ def _cmd_factor(args) -> int:
         "verification: recomposing inner(A) o scaling(g) o permutation(tau) "
         f"reproduces {reproduced} exactly"
     )
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_oracle_autos(args) -> int:
+def _cmd_oracle_autos(args, rel: Relation):
     from .oracle import brute_relation_automorphisms
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     autos = brute_relation_automorphisms(rel)
     payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
-    _emit(args, payload, f"{len(autos)} automorphisms (brute force)")
-    return 0
+    return payload, f"{len(autos)} automorphisms (brute force)"
 
 
-def _cmd_oracle_rank(args) -> int:
+def _cmd_oracle_rank(args, rel: Relation):
     from .oracle import brute_cocycle_rank
 
-    rank = brute_cocycle_rank(_load_relation(args.relation, args.close_reflexive))
-    _emit(args, {"rank": rank}, f"rank: {rank} (brute force)")
-    return 0
+    rank = brute_cocycle_rank(rel)
+    return {"rank": rank}, f"rank: {rank} (brute force)"
 
 
-def _cmd_oracle_quasiorders(args) -> int:
+def _cmd_oracle_quasiorders(args, rel: None):
     from .oracle import enumerate_quasiorders
 
     count = sum(1 for _ in enumerate_quasiorders(args.n))
-    _emit(args, {"n": args.n, "count": count}, f"{count} quasi-orders on {args.n} elements")
-    return 0
+    return {"n": args.n, "count": count}, f"{count} quasi-orders on {args.n} elements"
 
 
-def _cmd_oracle_randphi(args) -> int:
+def _cmd_oracle_randphi(args, rel: Relation):
     from .algebra import Field
     from .oracle import random_factored_automorphism
 
-    rel = _load_relation(args.relation, args.close_reflexive)
     field_obj = args.field
     if field_obj.lstrip().startswith("{"):
         field_obj = parse_json(field_obj, "--field")
-    phi = random_factored_automorphism(rel, Field.from_json(field_obj), args.seed)
-    payload = phi.to_json()
-    _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    payload = random_factored_automorphism(rel, Field.from_json(field_obj), args.seed).to_json()
+    return payload, json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _positive_int(text: str) -> int:
@@ -351,13 +317,46 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_relation_arg(sub) -> None:
-    sub.add_argument("relation", help="relation file (JSON or plain text)")
-    sub.add_argument(
-        "--close-reflexive",
-        action="store_true",
-        help="add missing diagonal pairs instead of rejecting them",
-    )
+_PHI = ("phi", {"help": "automorphism JSON file"})
+_CLASS_ORDER = ("--class-order", {"help": "comma-separated 1-based class indices on the diagonal"})
+
+# Each subparser: name, help, function, and the arguments after the relation file
+COMMANDS = (
+    ("validate", "check reflexivity and transitivity", _cmd_validate, ()),
+    ("classes", "mutual-relation classes", _cmd_classes, ()),
+    ("blockform", "block upper triangular relabelling", _cmd_blockform, (_CLASS_ORDER,)),
+    ("pattern", "full/zero block grid", _cmd_pattern, (_CLASS_ORDER,)),
+    ("semisimple", "is the relation symmetric?", _cmd_semisimple, ()),
+    ("autos", "enumerate relation automorphisms", _cmd_autos, ()),
+    ("transrank", "rank and generators of nontrivial scaling functions", _cmd_transrank, ()),
+    ("trivial", "coboundary witness or violating cycle", _cmd_trivial,
+     (("fn", {"help": "transitive-function JSON file"}),)),
+    ("verify", "check an automorphism spec", _cmd_verify, (_PHI,)),
+    ("apply", "apply an automorphism to a matrix", _cmd_apply, (_PHI, ("matrix", {"help": "matrix JSON file"}))),
+    ("factor", "split into inner o scaling o permutation", _cmd_factor, (_PHI,)),
+)
+ORACLE_COMMANDS = (
+    ("autos", "automorphisms by filtering all permutations", _cmd_oracle_autos, ()),
+    ("rank", "cocycle rank from the raw constraint system", _cmd_oracle_rank, ()),
+    ("quasiorders", "count quasi-orders on n elements", _cmd_oracle_quasiorders, (("n", {"type": _positive_int}),)),
+    ("randphi", "seeded random factored automorphism", _cmd_oracle_randphi,
+     (("--field", {"default": "Q", "help": '"Q" or {"GF": p}'}), ("--seed", {"type": int, "default": 0}))),
+)
+
+
+def _add_subcommands(subs, table) -> None:
+    for name, help_text, func, arguments in table:
+        sub = subs.add_parser(name, help=help_text)
+        if func is not _cmd_oracle_quasiorders:  # the one subcommand without a relation file
+            sub.add_argument("relation", help="relation file (JSON or plain text)")
+            sub.add_argument(
+                "--close-reflexive",
+                action="store_true",
+                help="add missing diagonal pairs instead of rejecting them",
+            )
+        for name_or_flag, options in arguments:
+            sub.add_argument(name_or_flag, **options)
+        sub.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,85 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("validate", help="check reflexivity and transitivity")
-    _add_relation_arg(sub)
-    sub.set_defaults(func=_cmd_validate)
-
-    sub = subs.add_parser("classes", help="mutual-relation classes")
-    _add_relation_arg(sub)
-    sub.set_defaults(func=_cmd_classes)
-
-    sub = subs.add_parser("blockform", help="block upper triangular relabelling")
-    _add_relation_arg(sub)
-    sub.add_argument("--class-order", help="comma-separated 1-based class indices on the diagonal")
-    sub.set_defaults(func=_cmd_blockform)
-
-    sub = subs.add_parser("pattern", help="full/zero block grid")
-    _add_relation_arg(sub)
-    sub.add_argument("--class-order", help="comma-separated 1-based class indices on the diagonal")
-    sub.set_defaults(func=_cmd_pattern)
-
-    sub = subs.add_parser("semisimple", help="is the relation symmetric?")
-    _add_relation_arg(sub)
-    sub.set_defaults(func=_cmd_semisimple)
-
-    sub = subs.add_parser("autos", help="enumerate relation automorphisms")
-    _add_relation_arg(sub)
-    sub.set_defaults(func=_cmd_autos)
-
-    sub = subs.add_parser("transrank", help="rank and generators of nontrivial scaling functions")
-    _add_relation_arg(sub)
-    sub.set_defaults(func=_cmd_transrank)
-
-    sub = subs.add_parser("trivial", help="coboundary witness or violating cycle")
-    _add_relation_arg(sub)
-    sub.add_argument("fn", help="transitive-function JSON file")
-    sub.set_defaults(func=_cmd_trivial)
-
-    sub = subs.add_parser("verify", help="check an automorphism spec")
-    _add_relation_arg(sub)
-    sub.add_argument("phi", help="automorphism JSON file")
-    sub.set_defaults(func=_cmd_verify)
-
-    sub = subs.add_parser("apply", help="apply an automorphism to a matrix")
-    _add_relation_arg(sub)
-    sub.add_argument("phi", help="automorphism JSON file")
-    sub.add_argument("matrix", help="matrix JSON file")
-    sub.set_defaults(func=_cmd_apply)
-
-    sub = subs.add_parser("factor", help="split into inner o scaling o permutation")
-    _add_relation_arg(sub)
-    sub.add_argument("phi", help="automorphism JSON file")
-    sub.set_defaults(func=_cmd_factor)
-
-    sub = subs.add_parser("oracle", help="brute-force cross-checks")
-    oracle_subs = sub.add_subparsers(dest="oracle_cmd", required=True)
-    osub = oracle_subs.add_parser("autos", help="automorphisms by filtering all permutations")
-    _add_relation_arg(osub)
-    osub.set_defaults(func=_cmd_oracle_autos)
-    osub = oracle_subs.add_parser("rank", help="cocycle rank from the raw constraint system")
-    _add_relation_arg(osub)
-    osub.set_defaults(func=_cmd_oracle_rank)
-    osub = oracle_subs.add_parser("quasiorders", help="count quasi-orders on n elements")
-    osub.add_argument("n", type=_positive_int)
-    osub.set_defaults(func=_cmd_oracle_quasiorders)
-    osub = oracle_subs.add_parser("randphi", help="seeded random factored automorphism")
-    _add_relation_arg(osub)
-    osub.add_argument("--field", default="Q", help='"Q" or {"GF": p}')
-    osub.add_argument("--seed", type=int, default=0)
-    osub.set_defaults(func=_cmd_oracle_randphi)
-
+    _add_subcommands(subs, COMMANDS)
+    oracle = subs.add_parser("oracle", help="brute-force cross-checks")
+    _add_subcommands(oracle.add_subparsers(dest="oracle_cmd", required=True), ORACLE_COMMANDS)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        rel = _load_relation(args) if "relation" in args else None
+        payload, human, *code = args.func(args, rel)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
         sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
-        return code
+        return code[0] if code else 0
     except SmaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1

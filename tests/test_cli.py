@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -235,6 +236,91 @@ class TestGoldenValues:
         assert out.splitlines()[-1] == verification + "the input map exactly"
 
 
+# Exit code and SHA-256 of stdout, human form then --json form, for README's CLI
+# list and a few more runs; a file argument is named relative to golden/.
+PINNED_OUTPUT = [
+    (["validate", "sym6.json"], 0,
+     "1f0e6223b3873862bff0ea99b29962853f27212118fbf5af1553b4fd8fbe8e36",
+     "a8c9aaca6722bed7ca7e9961df030c41055ec56913b775deb7576eac2a117fe3"),
+    (["classes", "sym6.json"], 0,
+     "0445235e7a1a26dd57e5ae418dc0d8667a281a5a345ac7c923b4d16a7f0e0839",
+     "bb153b39ebe9e9cfc744e5707dc561451869804c3de19594f499dd407c3aa980"),
+    (["blockform", "crown6.json", "--class-order", "1,4,3,2"], 0,
+     "84ece637b42dd5b7aaf0200e0897276b9927c6f352d6a43dd7082bb976c75afd",
+     "62e0035a4ccaf62eb0e386127dd8a5831ee596a2223786ba2006b0e7166c2a32"),
+    (["pattern", "crown6.json"], 0,
+     "359993c96edf97dbfd3528bc9b97be9c6d4f24509fd0e6ad448dd8880b6dc947",
+     "dc3fc0d4c6aa96ed02c92caaae2c24427b1cd560cbc301c2ad4cf00c6b23c901"),
+    (["pattern", "crown6.json", "--class-order", "1,4,3,2"], 0,
+     "359993c96edf97dbfd3528bc9b97be9c6d4f24509fd0e6ad448dd8880b6dc947",
+     "40ab0815c6d7c7808ba514b3c2913e69ab75eaba7a96c894f66d88fefdfba762"),
+    (["semisimple", "sym6.json"], 0,
+     "565551b3ebdde2fb2a8d9949f3219c6db6250aade787344fa8d0c6c1efa00a52",
+     "437e6240cb5ca043aea57f0eb1e1de595f5a6522bd39374efe43addf0329e92d"),
+    (["autos", "sym6.json"], 0,
+     "3a6b4d134cbf944908618ce462c1edc800b437ddac91191a705c08a122f587a9",
+     "ded23e021b735795022305e56adf4001fe29c81c24f5f91e2a644485ffa9930f"),
+    (["transrank", "crown6_block.json"], 0,
+     "172290c05b7e11d3fb4abd344cf53f3d4dd4fa691f9aff556673fd5c665eb327",
+     "02dbd873ecee5fdcb354e8c1dd55b083dc6d80d3f03a8981d302ac8697fba705"),
+    (["trivial", "crown6_block.json", "crown6_block_scaling.json"], 0,
+     "38627486c68a7ba965fcb7cae89ae1540cafb711e106d549f9d8dd93778ae2d9",
+     "35f4a49c2ffc8a1dbdc4c74db6bd1fa3b2873bea576049d2f028815d680fbeba"),
+    (["trivial", "vee3_block.json", "vee3_block_scaling.json"], 0,
+     "4f0fd7d0af141a9f47305c2ee7347d127fd0ef9da3d0b9c399fdaf61fca28a87",
+     "f48fef3d7dcd93bb0edcaee658c7a3af51271c487a282c968818294ea1f36a67"),
+    (["verify", "vee3_block.json", "vee3_block_phi.json"], 0,
+     "ffd53f78aba9eaa25ac3b456075875aab0c2641b9c341b8c367b9452810846f3",
+     "ff601bf23fe4269bb1d84af8dcb83039ceaea8d7a6436712e887a5952068ae98"),
+    (["apply", "vee3_block.json", "vee3_block_phi.json", "vee3_block_matrix.json"], 0,
+     "4c774eb1d344eaab8086591fa7d7011dec673b43335bd7d4a15fbbc7ce3d3ba8",
+     "9e1d701cbc5248854813ea8e0b75eddbfe1641e005cebf256deb75dc9987ebaa"),
+    (["factor", "vee3_block.json", "vee3_block_phi.json"], 0,
+     "cc840ec2c8e274558cfe77850052151d0e82f4bca7c8c6d67591501dec10e20c",
+     "24f1e1c3f32fba93db9347c9ef012b8b902ea5a694afc3abb34659646b65100c"),
+    (["oracle", "quasiorders", "4"], 0,
+     "41fd09d6681e4690a4df213522da8916ce2a0f28f4251f48dc75fd4618822799",
+     "baf51b53eaa0c86c3cb9dc2e84af3a53213fc9ae63ebc2b8aa68a5a4ecda2ec5"),
+    (["oracle", "randphi", "crown6_block.json", "--field", '{"GF": 5}', "--seed", "7"], 0,
+     "c1f2a92ba61651770566d6e663bca4a93b70bb8a92c22f2593bf244d0c01380f",
+     "c1f2a92ba61651770566d6e663bca4a93b70bb8a92c22f2593bf244d0c01380f"),
+    (["oracle", "randphi", "crown6.json", "--field", '{"GF": 101}', "--seed", "1"], 0,
+     "8d886141216c3a97e9e7e3070d80eecf904a11645cbef489177e88c8265920e6",
+     "8d886141216c3a97e9e7e3070d80eecf904a11645cbef489177e88c8265920e6"),
+]
+
+
+class TestPinnedOutput:
+    """Every subcommand's human and --json stdout, byte for byte."""
+
+    @staticmethod
+    def _check(capsys, argv, code, human_sha, json_sha):
+        for prefix, sha in (([], human_sha), (["--json"], json_sha)):
+            got, out, err = run(capsys, *prefix, *argv)
+            assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha), err
+
+    @pytest.mark.parametrize(
+        "argv, code, human_sha, json_sha", PINNED_OUTPUT, ids=lambda v: " ".join(v) if isinstance(v, list) else None
+    )
+    def test_golden_runs(self, capsys, argv, code, human_sha, json_sha):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        self._check(capsys, argv, code, human_sha, json_sha)
+
+    def test_factor_carried_over_pi(self, capsys, tmp_path):
+        """A seeded GF(101) map over crown6, which is not in block form."""
+        code, out, err = run(
+            capsys, "--json", "oracle", "randphi", str(GOLDEN / "crown6.json"), "--field", '{"GF": 101}', "--seed", "1"
+        )
+        assert code == 0, err
+        phi = tmp_path / "phi.json"
+        phi.write_text(out)
+        self._check(
+            capsys, ["factor", str(GOLDEN / "crown6.json"), str(phi)], 0,
+            "b726735a12c989a714a702da7b7c4eefb02643a773d47531177030912a5f0e0a",
+            "9cc7fa8144bd5fde854cd8810f745c250c3cd732ddc1e5673755b2427b3ce109",
+        )
+
+
 class TestExitCodes:
     def test_invalid_relation_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -289,6 +375,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "--json", *argv, str(f))
         assert code == 2
         assert "nesting is too deep" in err and "Traceback" not in err
+
+    # A file that is not UTF-8 escaped as a UnicodeDecodeError traceback;
+    # every file argument is read as UTF-8 and a decoding failure names its file.
+    @pytest.mark.parametrize("kind", ["relation", "map", "matrix", "scaling"])
+    def test_undecodable_file_exits_two(self, capsys, tmp_path, kind):
+        rel, phi = str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json")
+        argv = {
+            "relation": ["validate"],
+            "map": ["verify", rel],
+            "matrix": ["apply", rel, phi],
+            "scaling": ["trivial", rel],
+        }[kind]
+        f = tmp_path / f"{kind}.json"
+        f.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, "--json", *argv, str(f))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {f}: ") and "utf-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["blockform", "pattern"])
+    def test_empty_class_order_exits_two(self, capsys, sub):
+        code, out, err = run(capsys, sub, str(GOLDEN / "crown6.json"), "--class-order", "")
+        assert (code, out) == (2, "")
+        assert err == "error: --class-order must list every class index 1..4 exactly once\n"
 
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "classes", "/nonexistent/rel.json")
