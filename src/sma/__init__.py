@@ -43,7 +43,7 @@ _SUBMODULE = {
             "equivalence_classes", "transitive_reflexive_closure", "validate",
         ),
         "transitive": (
-            "CocycleBasis", "ScalingVector", "TransitiveFn", "TransitivityReport", "ViolatingCycle",
+            "CocycleBasis", "ScalingVector", "TransitiveFn", "ViolatingCycle",
             "canonicalize", "check_transitive", "coboundary", "cocycle_rank", "triviality_witness",
         ),
     }.items()

@@ -244,15 +244,9 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
                 s = fld.reduce(sum(x * y for x, y in zip(a[1], b[0]) if x and y))
                 if j != k:
                     holds = not s
-                elif not s:  # the product is zero
-                    c = split((i, l))
-                    holds = c is not None and not c[1]
-                else:  # the product's split is (u, s v'), so image(i,l) must be rank one
-                    c = split((i, l))
-                    holds = (
-                        c is not None and c[0] == a[0]
-                        and c[1] == tuple(fld.reduce(s * x) if x else x for x in b[1])
-                    )
+                else:  # the product's split is (u, s v'), or the zero grid's when s = 0
+                    product = (a[0], tuple(fld.reduce(s * x) if x else x for x in b[1])) if s else ((), ())
+                    holds = split((i, l)) == product
             if not holds:
                 return VerifyReport(
                     False,

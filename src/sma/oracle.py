@@ -1,11 +1,14 @@
 """Brute-force cross-checks and seeded random generators.
 
-These deliberately share no machinery with the main implementations beyond
-the Relation type and scalar and matrix arithmetic: automorphisms are found by
-filtering every permutation, cocycle ranks come from the raw unreduced
-constraint system with a local elimination routine, quasi-orders are
-enumerated by filtering every off-diagonal pair subset, and maps are verified
-by multiplying every pair of basis images.
+Only the brute-force checks are independent of the main implementations:
+they share nothing with them beyond the Relation type and scalar and matrix
+arithmetic.  Automorphisms are found by filtering every permutation, cocycle
+ranks come from the raw unreduced constraint system with a local elimination
+routine, quasi-orders are enumerated by filtering every off-diagonal pair
+subset, and maps are verified by multiplying every pair of basis images.
+The random_* generators are not independent: they draw from the library's
+cocycle basis, relation-automorphism listing and scaling-function group
+operations.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .blockform import Permutation
 from .errors import BoundExceeded, Singular
 from .factor import VerifyReport
 from .relation import Relation
-from .transitive import TransitiveFn, cocycle_rank
+from .transitive import TransitiveFn, coboundary, cocycle_rank, exponential
 
 BRUTE_AUTOS_BOUND = 8
 BRUTE_RANK_BOUND = 6
@@ -209,21 +212,14 @@ def random_invertible(rel: Relation, field: Field, rng: random.Random) -> Struct
 
 def random_transitive_fn(rel: Relation, field: Field, rng: random.Random) -> TransitiveFn:
     """Random coboundary times random small powers of the canonical generators."""
-    scaling = [field.random_nonzero(rng) for _ in range(rel.n)]
-    values = {
-        p: field.div(scaling[p[0] - 1], scaling[p[1] - 1]) for p in rel.off_diagonal_pairs()
-    }
+    g = coboundary(rel, field, [field.random_nonzero(rng) for _ in range(rel.n)])
     basis = cocycle_rank(rel)
-    for k in range(basis.rank):
+    for vector in basis.vectors:
         power = rng.randint(-3, 3)
-        if field.is_rational:
-            base = field.element(rng.choice(_RATIONAL_BASES))
-        else:
-            base = field.element(rng.randrange(1, field.char))
-        for pair, e in zip(basis.pairs, basis.vectors[k]):
-            if e:
-                values[pair] = field.reduce(values[pair] * field.pow(base, power * int(e)))
-    return TransitiveFn.build(rel, field, values)
+        base = rng.choice(_RATIONAL_BASES) if field.is_rational else rng.randrange(1, field.char)
+        power_of_generator = exponential(rel, field, basis.pairs, vector, field.pow(field.element(base), power))
+        g = g.pointwise_mul(power_of_generator)
+    return g
 
 
 def random_factored_automorphism(rel: Relation, field: Field, seed: int) -> FactoredAutomorphism:

@@ -211,7 +211,7 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    violations: tuple[Violation, ...]
+    violations: tuple  # Violations, or CocycleViolations from check_transitive
     truncated: bool = False
 
 

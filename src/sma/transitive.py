@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import Mismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
-from .relation import Forest, Relation, capped_violations, json_int
+from .relation import Forest, Relation, ValidationReport, capped_violations, json_int
 
 
 @dataclass(frozen=True)
@@ -53,21 +53,14 @@ class TransitiveFn:
         return self._lookup[(i, j)]
 
     @classmethod
-    def build(
-        cls,
-        relation: Relation,
-        field: Field,
-        values: Union[Mapping[tuple[int, int], object], Iterable, None] = None,
-    ) -> TransitiveFn:
+    def build(cls, relation: Relation, field: Field, values: Mapping[tuple[int, int], object]) -> TransitiveFn:
         """Construct from a (possibly partial) assignment; omitted pairs default to 1.
 
         The domain must be contained in the relation, every value must be
         nonzero, and any explicitly given diagonal value must be 1.
         """
-        one = field.one()
-        complete = dict.fromkeys(relation.sorted_pairs(), one)
-        items = values.items() if isinstance(values, Mapping) else (values or [])
-        for pair, raw in items:
+        complete = dict.fromkeys(relation.sorted_pairs(), field.one())
+        for pair, raw in values.items():
             complete[(int(pair[0]), int(pair[1]))] = field.element(raw)
         return cls(relation, field, tuple(sorted(complete.items())))
 
@@ -86,14 +79,16 @@ class TransitiveFn:
         return {p: v for p, v in self.entries if v != one}
 
     def pointwise_mul(self, other: TransitiveFn) -> TransitiveFn:
+        """The group product; both entry tuples list the same pairs in the same order."""
         if self.relation != other.relation or self.field != other.field:
             raise Mismatch("pointwise product requires the same relation and field")
-        vals = {p: self.field.reduce(v * other._lookup[p]) for p, v in self.entries}
-        return TransitiveFn.build(self.relation, self.field, vals)
+        fld = self.field
+        entries = tuple((p, fld.reduce(v * w)) for (p, v), (_, w) in zip(self.entries, other.entries))
+        return TransitiveFn(self.relation, fld, entries)
 
     def pointwise_inv(self) -> TransitiveFn:
-        vals = {p: self.field.inv(v) for p, v in self.entries}
-        return TransitiveFn.build(self.relation, self.field, vals)
+        entries = tuple((p, self.field.inv(v)) for p, v in self.entries)
+        return TransitiveFn(self.relation, self.field, entries)
 
     def to_json(self) -> dict:
         return {
@@ -134,21 +129,21 @@ def coboundary(relation: Relation, field: Field, scaling: Iterable) -> Transitiv
         raise Mismatch(f"expected {relation.n} scaling values, got {len(s)}")
     if any(v == 0 for v in s):
         raise ValueError("scaling values must be nonzero")
-    vals = {
-        (i, j): field.div(s[i - 1], s[j - 1])
-        for (i, j) in relation.off_diagonal_pairs()
-    }
-    return TransitiveFn.build(relation, field, vals)
+    one, inv = field.one(), [field.inv(v) for v in s]
+    entries = tuple(
+        ((i, j), one if i == j else field.reduce(s[i - 1] * inv[j - 1])) for i, j in relation.sorted_pairs()
+    )
+    return TransitiveFn(relation, field, entries)
 
 
 def exponential(relation: Relation, field: Field, pairs, exponents, base) -> TransitiveFn:
     """base**e(i,j) on each off-diagonal pair, from an integer exponent vector."""
     b = field.element(base)
-    vals = {}
+    vals = dict.fromkeys(relation.sorted_pairs(), field.one())
     for pair, e in zip(pairs, exponents):
         if e:
-            vals[pair] = field.pow(b, int(e))
-    return TransitiveFn.build(relation, field, vals)
+            vals[pair] = field.pow(b, int(e))  # a pair outside the relation goes last, and is refused
+    return TransitiveFn(relation, field, tuple(vals.items()))
 
 
 @dataclass(frozen=True)
@@ -165,15 +160,9 @@ class CocycleViolation:
         )
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
-    ok: bool
-    violations: tuple[CocycleViolation, ...]
-    truncated: bool = False
-
-
-def check_transitive(g: TransitiveFn) -> TransitivityReport:
-    """Verify g(i,j)g(j,k) = g(i,k) over every composable pair of pairs."""
+def check_transitive(g: TransitiveFn) -> ValidationReport:
+    """Verify g(i,j)g(j,k) = g(i,k) over every composable pair of pairs; the
+    report is validate's, its violations CocycleViolations."""
     rel, fld = g.relation, g.field
 
     def violations():
@@ -184,7 +173,7 @@ def check_transitive(g: TransitiveFn) -> TransitivityReport:
                     yield CocycleViolation((i, j), (j, k), lhs, g(i, k))
 
     found, truncated = capped_violations(violations())
-    return TransitivityReport(not found, found, truncated)
+    return ValidationReport(not found, found, truncated)
 
 
 @dataclass(frozen=True)
@@ -232,11 +221,7 @@ def canonicalize(g: TransitiveFn) -> tuple[ScalingVector, TransitiveFn]:
     """
     fld = g.field
     s = _propagate_scaling(g, g.relation.forest)
-    canon_vals = {}
-    for (i, j), v in g.entries:
-        if i != j:
-            canon_vals[(i, j)] = fld.reduce(fld.div(v * s[j - 1], s[i - 1]))
-    canonical = TransitiveFn.build(g.relation, fld, canon_vals)
+    canonical = g.pointwise_mul(coboundary(g.relation, fld, map(fld.inv, s)))
     return ScalingVector(fld, s), canonical
 
 

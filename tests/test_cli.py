@@ -393,6 +393,24 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: cannot read {f}: ") and "utf-8" in err and "Traceback" not in err
 
+    # A UTF-8 file starting with a byte-order mark (EF BB BF), as some editors
+    # write it, was refused with exit 2; it reads as the same file without one.
+    @pytest.mark.parametrize("kind", ["relation", "relation_text", "map", "matrix", "scaling"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, kind):
+        rel, phi = str(GOLDEN / "vee3_block.json"), str(GOLDEN / "vee3_block_phi.json")
+        argv, name = {
+            "relation": (["validate"], "vee3_block.json"),
+            "relation_text": (["classes"], "vee3.txt"),
+            "map": (["verify", rel], "vee3_block_phi.json"),
+            "matrix": (["apply", rel, phi], "vee3_block_matrix.json"),
+            "scaling": (["trivial", rel], "vee3_block_scaling.json"),
+        }[kind]
+        f = tmp_path / name
+        f.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / name).read_bytes())
+        plain = run(capsys, "--json", *argv, str(GOLDEN / name))
+        assert plain[0] == 0
+        assert run(capsys, "--json", *argv, str(f)) == plain
+
     @pytest.mark.parametrize("sub", ["blockform", "pattern"])
     def test_empty_class_order_exits_two(self, capsys, sub):
         code, out, err = run(capsys, sub, str(GOLDEN / "crown6.json"), "--class-order", "")

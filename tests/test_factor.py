@@ -351,7 +351,7 @@ class TestBlockConjugator:
                 phi = BasisImageAutomorphism.from_map(
                     full, field, {(u + 1, w + 1): x for (u, w), x in images.items()}
                 )
-                factored = factor_automorphism(phi, assume_verified=True)
+                factored = factor_automorphism(phi)
                 read = factored.conjugator.rows
                 assert factored.permutation.is_identity()
                 assert factored.scaling.nontrivial_values() == {}
@@ -379,7 +379,7 @@ class TestBlockConjugator:
             if brute_verify(broken).ok:
                 continue
             with pytest.raises(SmaError):
-                factor_automorphism(broken, assume_verified=True)
+                factor_automorphism(broken)
             checked += 1
         assert checked > 300
 
@@ -401,9 +401,7 @@ class TestBlockConjugator:
                 scaled = dict(images)
                 scaled[(i, i)] = grid_scale(field, c, images[(i, i)])
                 with pytest.raises(SmaError):
-                    factor_automorphism(
-                        BasisImageAutomorphism.from_map(block, field, scaled), assume_verified=True
-                    )
+                    factor_automorphism(BasisImageAutomorphism.from_map(block, field, scaled))
 
 
 # Factor JSON of seeded maps, pinned by digest so a change to the factor steps

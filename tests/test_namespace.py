@@ -29,7 +29,7 @@ PUBLIC_NAMES = """
     random_factored_automorphism
     ClassPartition CondensationDAG Relation ValidationReport condensation equivalence_classes
     transitive_reflexive_closure validate
-    CocycleBasis ScalingVector TransitiveFn TransitivityReport ViolatingCycle canonicalize
+    CocycleBasis ScalingVector TransitiveFn ViolatingCycle canonicalize
     check_transitive coboundary cocycle_rank triviality_witness
 """.split()
 

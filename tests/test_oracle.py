@@ -40,6 +40,17 @@ PINNED_MAPS = {
 }
 
 
+# The same over Q and GF(101) on the 4-crown (sources 1..4, sinks 5..8, source
+# i below every sink but i+4), whose cocycle rank is 5: these pin the random
+# scaling, a coboundary times powers of five canonical generators.
+PINNED_CROWN8_MAPS = {
+    ("Q", 1): '{"A": {"field": "Q", "n": 8, "entries": [["-5", "0", "0", "0", "0", "-1", "3/2", "3/2"], ["0", "-3", "0", "0", "6", "0", "3/4", "-9/4"], ["0", "0", "-1/2", "0", "9", "1", "0", "-9"], ["0", "0", "0", "8", "3/2", "4", "7/2", "0"], ["0", "0", "0", "0", "5/4", "0", "0", "0"], ["0", "0", "0", "0", "0", "4", "0", "0"], ["0", "0", "0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "0", "0", "-1/2"]]}, "g": {"field": "Q", "values": [[1, 6, "-9/7"], [1, 7, "-1"], [1, 8, "-9/7"], [2, 5, "224"], [2, 7, "32/9"], [2, 8, "32/7"], [3, 5, "-16/105"], [3, 6, "-8/21"], [3, 8, "-16/21"], [4, 5, "-8/7"], [4, 6, "-4/7"], [4, 7, "-8/9"]]}, "tau": [2, 3, 4, 1, 6, 7, 8, 5]}',
+    ("Q", 2): '{"A": {"field": "Q", "n": 8, "entries": [["-8", "0", "0", "0", "0", "-7/3", "-4/3", "-1/2"], ["0", "-4", "0", "0", "1", "0", "7/3", "2"], ["0", "0", "7/3", "0", "-8", "1/2", "0", "1/4"], ["0", "0", "0", "2", "4", "-1", "-9/2", "0"], ["0", "0", "0", "0", "1/2", "0", "0", "0"], ["0", "0", "0", "0", "0", "-5/3", "0", "0"], ["0", "0", "0", "0", "0", "0", "7/2", "0"], ["0", "0", "0", "0", "0", "0", "0", "5/4"]]}, "g": {"field": "Q", "values": [[1, 6, "1/6"], [1, 7, "7/6"], [1, 8, "28/15"], [2, 5, "2/5"], [2, 7, "15/2"], [2, 8, "12/5"], [3, 5, "343/5"], [3, 6, "1/4"], [3, 8, "2/5"], [4, 5, "-2/5"], [4, 6, "-1/2"], [4, 7, "-1/2"]]}, "tau": [4, 3, 2, 1, 8, 7, 6, 5]}',
+    ("GF101", 1): '{"A": {"field": {"GF": 101}, "n": 8, "entries": [[17, 0, 0, 0, 0, 72, 97, 8], [0, 32, 0, 0, 15, 0, 63, 97], [0, 0, 57, 0, 60, 83, 0, 48], [0, 0, 0, 100, 26, 12, 62, 0], [0, 0, 0, 0, 3, 0, 0, 0], [0, 0, 0, 0, 0, 49, 0, 0], [0, 0, 0, 0, 0, 0, 55, 0], [0, 0, 0, 0, 0, 0, 0, 77]]}, "g": {"field": {"GF": 101}, "values": [[1, 6, 38], [1, 7, 44], [1, 8, 30], [2, 5, 91], [2, 7, 51], [2, 8, 9], [3, 5, 13], [3, 6, 22], [3, 8, 16], [4, 5, 38], [4, 6, 12], [4, 7, 77]]}, "tau": [1, 2, 3, 4, 5, 6, 7, 8]}',
+    ("GF101", 2): '{"A": {"field": {"GF": 101}, "n": 8, "entries": [[7, 0, 0, 0, 0, 11, 10, 46], [0, 21, 0, 0, 94, 0, 85, 39], [0, 0, 32, 0, 77, 27, 0, 77], [0, 0, 0, 4, 74, 87, 20, 0], [0, 0, 0, 0, 55, 0, 0, 0], [0, 0, 0, 0, 0, 81, 0, 0], [0, 0, 0, 0, 0, 0, 50, 0], [0, 0, 0, 0, 0, 0, 0, 92]]}, "g": {"field": {"GF": 101}, "values": [[1, 6, 37], [1, 7, 83], [1, 8, 12], [2, 5, 9], [2, 7, 24], [2, 8, 52], [3, 5, 15], [3, 6, 14], [3, 8, 10], [4, 5, 91], [4, 6, 16], [4, 7, 55]]}, "tau": [3, 4, 1, 2, 7, 8, 5, 6]}',
+}
+
+
 class TestBruteAutomorphisms:
     def test_sym6_count_matches_hand_count(self, sym6):
         # classes of sizes 3, 2, 1 cannot swap: 3! * 2! * 1! = 12
@@ -173,3 +184,13 @@ class TestRandomSpecs:
         rel = Relation.from_json(json.loads((GOLDEN / f"{name}.json").read_text()))
         phi = random_factored_automorphism(rel, gf(101), seed)
         assert json.dumps(phi.to_json()) == PINNED_MAPS[name, seed]
+
+    @pytest.mark.parametrize("field, seed", sorted(PINNED_CROWN8_MAPS))
+    def test_seeded_maps_of_cocycle_rank_five_are_pinned(self, field, seed):
+        k = 4
+        pairs = [(i, i) for i in range(1, 2 * k + 1)]
+        pairs += [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if j != i]
+        rel = Relation.from_pairs(2 * k, pairs)
+        assert cocycle_rank(rel).rank == 5
+        phi = random_factored_automorphism(rel, {"Q": RATIONALS, "GF101": gf(101)}[field], seed)
+        assert json.dumps(phi.to_json()) == PINNED_CROWN8_MAPS[field, seed]

@@ -30,7 +30,6 @@ from sma import (
     Permutation,
     Relation,
     Singular,
-    SmaError,
     StructMatrix,
     TransitiveFn,
     brute_verify,
@@ -557,10 +556,6 @@ class TestFactorOnBrokenMaps:
         assume(not brute_verify(phi).ok)
         with pytest.raises(NotAutomorphism):
             factor_automorphism(phi)
-        try:
-            factor_automorphism(phi, assume_verified=True)
-        except SmaError:
-            pass
 
 
 class TestConjugatorInverse:
