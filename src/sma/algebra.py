@@ -16,7 +16,7 @@ from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import Mismatch, OffPattern, ParseError, Singular
-from .relation import Relation, json_int
+from .relation import INTEGER, Relation, json_int
 
 Scalar = Union[Fraction, int]
 Grid = tuple[tuple[Scalar, ...], ...]
@@ -30,9 +30,8 @@ SparseRow = dict[int, Scalar]  # column -> nonzero value
 MAX_CHAR = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Scalar strings parse_scalar accepts; Fraction alone would also take decimals
-# and exponents, and expand "1e100000000" digit by digit.
-_INTEGER = re.compile(r"-?[0-9]+")
+# Rational strings parse_scalar accepts (INTEGER over GF(p)); Fraction alone would
+# also take decimals and exponents, and expand "1e100000000" digit by digit.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 # Every zero over Q is this one object, so compares of zeros take the identity shortcut.
@@ -160,7 +159,7 @@ class Field:
     def parse_scalar(self, obj) -> Scalar:
         """A scalar read from JSON: an int or a string of digits with an optional
         minus sign, over Q also "num/den"; anything else is a ParseError."""
-        grammar, what = (_RATIONAL, 'an integer or "num/den"') if self.char is None else (_INTEGER, "an integer")
+        grammar, what = (_RATIONAL, 'an integer or "num/den"') if self.char is None else (INTEGER, "an integer")
         if isinstance(obj, bool) or not (isinstance(obj, int) or isinstance(obj, str) and grammar.fullmatch(obj)):
             raise ParseError(f"{self.name} scalar must be {what}, got {obj!r}")
         try:

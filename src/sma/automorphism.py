@@ -56,12 +56,7 @@ def is_relation_automorphism(rel: Relation, tau: Permutation) -> bool:
 def size_bound(default: int) -> int:
     """The largest n an exhaustive search accepts: SMA_MAX_N when set, else `default`."""
     env = os.environ.get("SMA_MAX_N")
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"SMA_MAX_N must be an integer, got {env!r}") from None
+    return json_int(env, "SMA_MAX_N") if env else default
 
 
 def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permutation, ...]:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ParseError, SmaError
-from .relation import Relation, equivalence_classes, parse_json, validate
+from .relation import Relation, equivalence_classes, json_int, parse_json, validate
 
 if TYPE_CHECKING:
     from .blockform import BlockForm
@@ -78,10 +78,8 @@ def _block_form(args, rel: Relation) -> BlockForm:
     if args.class_order is None:
         return build_block_form(rel)
     p = equivalence_classes(rel).p
-    try:
-        order = [int(tok) - 1 for tok in args.class_order.split(",")] if args.class_order else []
-    except ValueError as exc:
-        raise ParseError(f"--class-order must be comma-separated integers: {exc}") from exc
+    tokens = args.class_order.split(",") if args.class_order else []
+    order = [json_int(tok.strip(), "--class-order entry") - 1 for tok in tokens]
     if sorted(order) != list(range(p)):
         raise ParseError(f"--class-order must list every class index 1..{p} exactly once")
     return build_block_form(rel, order)

@@ -5,7 +5,7 @@ conjugation after a unit-scaling map after a permutation similarity.  This
 module computes such a splitting:
 
   1. The image of each class's first diagonal unit is a rank-one idempotent
-     whose support meets the diagonal block of exactly one class, which pins
+     of trace 1 whose nonzero diagonal entries lie in one class, which pins
      a size-preserving bijection of classes.
   2. The bijection lifts to a permutation, ascending elements to ascending
      elements within classes; it must preserve the relation.
@@ -41,7 +41,7 @@ images, to name the identity a map breaks.  That failure scan is a rank-one
 scan: each image is split on first use into its canonical form u v^T, so a
 product of two rank-one images is one O(n) dot product, plus an O(n) compare
 of splits when the middle indices agree.  Only an image of higher rank is
-multiplied out.
+multiplied out.  After the scan, bijectivity is that no image is zero.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .algebra import (
     grid_add,
     identity_grid,
     is_member,
-    matrix_rank,
     sparse_mul,
     sparse_rows,
     zero_grid,
@@ -99,9 +98,10 @@ def _certify(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> 
 
 def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]) -> FactoredAutomorphism:
     """Steps 1-5 on a map given by its basis images, over any layout of a
-    quasi-order: step 1 reads one diagonal unit image per class, by class
-    membership rather than position, and the factors are over the same
-    layout.  The steps read rather than check: on a map that is not an
+    quasi-order: step 1 reads the class of the first nonzero diagonal entry
+    of each class's first diagonal unit image (trace 1 ensures one), by
+    class membership rather than position, and the factors are over the
+    same layout.  The steps read rather than check: on a map that is not an
     automorphism they raise NotAutomorphism, or the factors' constructor
     raises another SmaError, or they return factors that recompose to
     another map, which _certify's compare refuses."""
@@ -109,20 +109,16 @@ def _factor_steps(rel: Relation, fld: Field, images: dict[tuple[int, int], Grid]
     n = rel.n
     zero_row = (fld.zero(),) * n
 
-    # (1) class bijection: the image of class k's first diagonal unit meets
-    # the diagonal block of class matched[k] only
+    # (1) class bijection: for an automorphism Phi(E_cc) = (A^-1 e_d)(e_d^T A), A and
+    # A^-1 in the pattern, so a nonzero diagonal entry (r,r) needs (r,d) and (d,r) in
+    # the relation and lies in d's class; the trace is 1, so the first one names it
     matched: dict[int, int] = {}
     for k, cls in enumerate(part.classes):
         img = images[(cls[0], cls[0])]
-        support = [
-            m for m, members in enumerate(part.classes)
-            if any(img[r - 1][c - 1] != 0 for r in members for c in members)
-        ]
-        if len(support) != 1:
-            raise NotAutomorphism(
-                f"image of unit ({cls[0]},{cls[0]}) meets {len(support)} class diagonal blocks"
-            )
-        m = support[0]
+        r = next((r for r in range(n) if img[r][r] != 0), None)
+        if r is None:
+            raise NotAutomorphism(f"image of unit ({cls[0]},{cls[0]}) has a zero diagonal")
+        m = part.class_of(r + 1)
         if len(part.classes[m]) != len(cls):
             raise NotAutomorphism(f"classes {k} and {m} have different sizes")
         matched[k] = m
@@ -179,7 +175,7 @@ def _normalize(rel: Relation, fld: Field, rows: Grid, h: dict, tau: Permutation)
     leads = [next(v for v in row if v) for row in rows]
     t = [fld.inv(v) for v in leads]
     scaled = {(i, j): fld.reduce(v * leads[j - 1] * t[i - 1]) for (i, j), v in h.items()}
-    s, g_canonical = canonicalize(TransitiveFn.build(rel, fld, scaled))
+    s, g_canonical = canonicalize(TransitiveFn(rel, fld, tuple(sorted(scaled.items()))))
     fold = map(fld.div, t, s.values)  # row j of A is row j of the input times t_j / s_j
     a = tuple(tuple(fld.reduce(v * f) if v else v for v in row) for row, f in zip(rows, fold))
     return FactoredAutomorphism(StructMatrix(fld, rel, a), g_canonical, tau)
@@ -260,8 +256,10 @@ def verify_automorphism(phi: AutomorphismSpec) -> VerifyReport:
     if total != identity_grid(fld, n):
         return VerifyReport(False, "unit", "images of the diagonal units do not sum to the identity")
 
-    coords = [[images[in_pair][r - 1][c - 1] for in_pair in pairs] for (r, c) in pairs]
-    if matrix_rank(fld, coords) != len(pairs):
+    # By the scan the e_i = image(i,i) are orthogonal idempotents and image(i,j) lies
+    # in e_i M_n e_j.  With e_0 = I - sum e_i these Peirce components form a direct sum,
+    # so the induced map, unital or not, is bijective exactly when no image is zero.
+    if any(split(p) == ((), ()) for p in pairs):
         return VerifyReport(False, "bijectivity", "induced linear map is not bijective")
     return VerifyReport(True)
 

@@ -16,6 +16,7 @@ graph, and the default block form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, islice
@@ -46,13 +47,18 @@ def parse_json(text: str, source: str | None = None):
         raise ParseError(f"{prefix}invalid JSON: nesting is too deep") from None
 
 
+# An integer as a file, --class-order or SMA_MAX_N writes it; int() alone would
+# also take spaces, "+", "_" and non-ASCII digits.
+INTEGER = re.compile(r"-?[0-9]+")
+
+
 def json_int(value, what: str) -> int:
-    """An integer read from JSON: an int or a string of one.  Anything else,
-    bool and float included, is a ParseError naming `what`."""
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
+    """An int, or an INTEGER string from a file, option or environment variable;
+    anything else, bool and float included, is a ParseError naming `what`."""
+    if isinstance(value, str) and INTEGER.fullmatch(value) or isinstance(value, int) and not isinstance(value, bool):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # a string over int()'s digit limit
             pass
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
@@ -118,19 +124,13 @@ class Relation:
         if not lines:
             raise ParseError("empty relation file")
         lineno, first = lines[0]
-        try:
-            n = int(first)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: expected the ground-set size, got {first!r}") from exc
+        n = json_int(first, f"line {lineno}: the ground-set size")
         pairs = []
         for lineno, ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'i j', got {ln!r}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+            pairs.append([json_int(x, f"line {lineno}: element") for x in parts])
         try:
             return cls.from_pairs(n, pairs)
         except ValueError as exc:

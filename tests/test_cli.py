@@ -741,6 +741,48 @@ class TestScalarGrammar:
         assert "scalar must be" in err
 
 
+# Integers that int() reads but that are not a string of ASCII digits with an
+# optional minus sign: each input kind refuses them as a parse error.
+LENIENT_INTEGERS = {
+    "json-relation-n": ("relation.json", {"n": "\u0663", "pairs": [[1, 1], [2, 2], [3, 3]]}),
+    "json-relation-element": ("relation.json", {"n": 3, "pairs": [["+1", 1], [2, 2], [3, 3]]}),
+    "text-relation-n": ("relation.txt", "\uff13\n1 1\n2 2\n3 3\n"),
+    "text-relation-element": ("relation.txt", "3\n1 1\n2 2\n3 \u0663\n"),
+    "map-image-index": ("phi.json", {"images": [[" 1", 1, {"field": "Q", "n": 1, "entries": [["1"]]}]]}),
+    "gf-characteristic": ("phi.json", {"images": [[1, 1, {"field": {"GF": "+5"}, "n": 1, "entries": [[1]]}]]}),
+}
+
+
+class TestIntegerGrammar:
+    @pytest.mark.parametrize("case", sorted(LENIENT_INTEGERS))
+    def test_file_integer_exits_two(self, capsys, tmp_path, case):
+        name, content = LENIENT_INTEGERS[case]
+        f = tmp_path / name
+        f.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+        if name == "phi.json":
+            rel = tmp_path / "one.json"
+            rel.write_text(json.dumps({"n": 1, "pairs": [[1, 1]]}))
+            argv = ("verify", str(rel), str(f))
+        else:
+            argv = ("validate", str(f))
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (2, ""), err
+        assert "must be an integer" in err and "Traceback" not in err
+
+    def test_class_order_entry_exits_two(self, capsys):
+        crown6 = str(GOLDEN / "crown6.json")
+        assert run(capsys, "blockform", crown6, "--class-order", "1, 4, 3, 2")[0] == 0
+        code, out, err = run(capsys, "blockform", crown6, "--class-order", "1,+4,3,2")
+        assert (code, out) == (2, "")
+        assert err == "error: --class-order entry must be an integer, got '+4'\n"
+
+    def test_size_bound_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("SMA_MAX_N", "1_0")
+        code, out, err = run(capsys, "autos", str(GOLDEN / "sym6.json"))
+        assert (code, out) == (2, "")
+        assert err == "error: SMA_MAX_N must be an integer, got '1_0'\n"
+
+
 class TestJsonFixpoint:
     def test_relation_json_round_trips(self, capsys):
         from sma import Relation

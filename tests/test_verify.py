@@ -6,6 +6,7 @@ whole scan.  Their reports must agree field for field, on automorphisms and
 on broken maps alike.
 """
 
+import functools
 import gc
 import json
 import random
@@ -32,6 +33,7 @@ from sma import (
     Singular,
     StructMatrix,
     TransitiveFn,
+    VerifyReport,
     brute_verify,
     build_block_form,
     compose,
@@ -572,3 +574,76 @@ class TestConjugatorInverse:
         monkeypatch.setattr(automorphism, "invert_grid", lambda *a: calls.append(1) or real(*a))
         compose(outer, inner)
         assert calls == []
+
+
+@functools.cache
+def quasiorders_up_to_4():
+    return [rel for n in range(1, 5) for rel in enumerate_quasiorders(n)]
+
+
+class TestTheoremReads:
+    """Verify and factor step 1 read what the factorization theorem
+    guarantees: after the product scan, bijectivity is that no image is zero,
+    and a diagonal unit image's class is the class of its first nonzero
+    diagonal entry."""
+
+    def test_zeroed_image_sweep(self):
+        # A random automorphism over every quasi-order with n <= 4, with a random
+        # subset of its images zeroed, or with E11's image made E11's plus E22's
+        # and E22's zeroed, which keeps the identity.
+        rng = random.Random(2025)
+        outcomes = set()
+        for rel in quasiorders_up_to_4():
+            for field in (gf(2), GF5, RATIONALS):
+                phi = random_factored_automorphism(rel, field, rng.randrange(10**6))
+                images = phi.images()
+                zero = ((field.zero(),) * rel.n,) * rel.n
+                altered = [{p: zero if rng.random() < 0.3 else img for p, img in images.items()}]
+                if rel.n > 1:
+                    e11 = algebra.grid_add(field, images[(1, 1)], images[(2, 2)])
+                    altered.append({**images, (1, 1): e11, (2, 2): zero})
+                for m in altered:
+                    psi = BasisImageAutomorphism.from_map(rel, field, m)
+                    report = verify_automorphism(psi)
+                    assert report == brute_verify(psi), (rel, field.name)
+                    outcomes.add(report.check)
+        assert {"unit", "bijectivity"} <= outcomes
+
+    @pytest.mark.parametrize("field", (gf(2), RATIONALS), ids=lambda f: f.name)
+    def test_a_unital_multiplicative_map_with_a_zero_image(self, field):
+        # E11 -> I and E22 -> 0 on the diagonal relation: the scan and the unit
+        # check pass, and only bijectivity fails.
+        rel = Relation.identity(2)
+        zero, _ = _units(rel, field)
+        phi = BasisImageAutomorphism.from_map(rel, field, {(1, 1): algebra.identity_grid(field, 2), (2, 2): zero})
+        assert verify_automorphism(phi) == brute_verify(phi) == VerifyReport(
+            False, "bijectivity", "induced linear map is not bijective"
+        )
+
+    def test_step_1_reference(self):
+        # Each diagonal unit image of an automorphism meets the diagonal block of
+        # exactly one class, and its nonzero diagonal entries all lie in that class.
+        rng = random.Random(25)
+        for rel in quasiorders_up_to_4():
+            part = rel.partition
+            for field in FIELDS:
+                images = random_factored_automorphism(rel, field, rng.randrange(10**6)).images()
+                for c in range(1, rel.n + 1):
+                    img = images[(c, c)]
+                    support = [
+                        m for m, members in enumerate(part.classes)
+                        if any(img[r - 1][s - 1] for r in members for s in members)
+                    ]
+                    assert len(support) == 1
+                    diagonal = {part.class_of(r) for r in range(1, rel.n + 1) if img[r - 1][r - 1]}
+                    assert diagonal == set(support)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_a_unit_image_with_a_zero_diagonal_is_refused(self, field):
+        # E11's image is the nilpotent E12: nonzero, with a zero diagonal
+        _, units = _units(TOTAL4, field)
+        images = {**random_factored_automorphism(TOTAL4, field, 0).images(), (1, 1): units[(1, 2)]}
+        phi = BasisImageAutomorphism.from_map(TOTAL4, field, images)
+        with pytest.raises(NotAutomorphism, match=r"image of unit \(1,1\) has a zero diagonal"):
+            factor_automorphism(phi)
+        assert verify_automorphism(phi) == brute_verify(phi)
