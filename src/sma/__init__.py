@@ -14,7 +14,7 @@ _SUBMODULE = {
     name: module
     for module, names in {
         "algebra": (
-            "Field", "RATIONALS", "StructMatrix", "diagonal_matrix", "gf", "identity_matrix",
+            "Field", "RATIONALS", "StructMatrix", "gf", "identity_matrix",
             "is_member", "matrix_unit",
         ),
         "automorphism": (
@@ -26,7 +26,7 @@ _SUBMODULE = {
         "blockform": (
             "BlockForm", "BlockPattern", "Permutation", "block_pattern", "build_block_form",
             "compose_permutations", "conjugate_relation", "is_block_form", "is_semisimple",
-            "render_block_pattern", "render_pattern_grid",
+            "render_pattern_grid",
         ),
         "errors": (
             "BoundExceeded", "InvalidOverride", "InvalidRelation", "Mismatch", "NotAutomorphism",

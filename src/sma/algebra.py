@@ -198,10 +198,6 @@ def grid_sub(field: Field, a: Grid, b: Grid) -> Grid:
     return tuple(tuple(field.reduce(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def grid_scale(field: Field, c: Scalar, a: Grid) -> Grid:
-    return tuple(tuple(field.reduce(c * x) for x in row) for row in a)
-
-
 def sparse_rows(b: Grid) -> SparseRows:
     """Each row's nonzero entries as (column, value) pairs: the right operand of sparse_mul."""
     return tuple(tuple((j, v) for j, v in enumerate(row) if v != 0) for row in b)
@@ -229,10 +225,6 @@ def sparse_mul(field: Field, a: Grid, b_rows: SparseRows) -> Grid:
 def grid_mul(field: Field, a: Grid, b: Grid) -> Grid:
     """Matrix product, skipping zero entries (patterns here are typically sparse)."""
     return sparse_mul(field, a, sparse_rows(b))
-
-
-def grid_is_zero(a: Grid) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 class Echelon:
@@ -284,11 +276,6 @@ class Echelon:
                 if c != pivot:  # every other column of a reduced row is free
                     basis[c][pivot] = fld.neg(v)
         return list(basis.values())
-
-    def nullspace(self, ncols: int) -> list[tuple[Scalar, ...]]:
-        """The canonical nullspace basis of `kernel`, as dense vectors."""
-        zero = self.field.zero()
-        return [tuple(vec.get(c, zero) for c in range(ncols)) for vec in self.kernel(ncols)]
 
 
 def _subtract(field: Field, row: SparseRow, factor: Scalar, other: SparseRow) -> None:
@@ -394,9 +381,6 @@ class StructMatrix:
         self._check_compatible(other)
         return StructMatrix(self.field, self.pattern, grid_mul(self.field, self.rows, other.rows))
 
-    def scale(self, c) -> StructMatrix:
-        return StructMatrix(self.field, self.pattern, grid_scale(self.field, self.field.element(c), self.rows))
-
     def inverse(self) -> StructMatrix:
         """Exact inverse.  The inverse of an invertible algebra element stays in
         the algebra; this is asserted by the pattern check rather than assumed."""
@@ -404,9 +388,6 @@ class StructMatrix:
         if not is_member(self.pattern, inv):
             raise OffPattern("inverse left the pattern; input was not an algebra element")
         return StructMatrix(self.field, self.pattern, inv)
-
-    def is_zero(self) -> bool:
-        return grid_is_zero(self.rows)
 
     def to_json(self) -> dict:
         return grid_to_json(self.field, self.rows)
@@ -464,10 +445,3 @@ def matrix_unit(rel: Relation, field: Field, i: int, j: int) -> StructMatrix:
     if (i, j) not in rel.pairs:
         raise OffPattern(f"({i},{j}) is not in the relation")
     return StructMatrix.from_values(field, rel, {(i, j): field.one()})
-
-
-def diagonal_matrix(field: Field, pattern: Relation, values: Iterable) -> StructMatrix:
-    vals = [field.element(v) for v in values]
-    if len(vals) != pattern.n:
-        raise ValueError(f"expected {pattern.n} diagonal values")
-    return StructMatrix.from_values(field, pattern, {(i, i): v for i, v in enumerate(vals, start=1)})

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     Singular,
 )
-from .relation import Relation, json_int
+from .relation import Relation, json_int, set_bits
 from .transitive import TransitiveFn
 
 DEFAULT_ENUMERATION_BOUND = 10
@@ -101,13 +101,8 @@ def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:
     """
     rel.require_quasi_order()
     n = rel.n
-    # Adjacency rows as bitmasks: bit t of out_rows[i] is (i,t) in rel, bit t
-    # of in_rows[i] is (t,i) in rel, so out_rows[i] & in_rows[i] is i's class.
-    out_rows = [0] * (n + 1)
-    in_rows = [0] * (n + 1)
-    for a, b in rel.pairs:
-        out_rows[a] |= 1 << b
-        in_rows[b] |= 1 << a
+    # out_rows[i] & in_rows[i] is i's class
+    out_rows, in_rows = rel.out_rows, rel.in_rows
     signature = [
         (out_rows[i].bit_count(), in_rows[i].bit_count(), (out_rows[i] & in_rows[i]).bit_count())
         for i in range(1, n + 1)
@@ -120,11 +115,7 @@ def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:
     levels = []
     for i in range(1, n + 1):
         level = [tuple(range(1, n + 1))]
-        others = domains[i] & ~(1 << i)
-        while others:
-            low = others & -others
-            others ^= low
-            j = low.bit_length() - 1
+        for j in set_bits(domains[i] & ~(1 << i)):
             rest = _first_leaf(i + 1, _narrow(domains, i, j, out_rows, in_rows), out_rows, in_rows)
             if rest is not None:
                 level.append(tuple(range(1, i)) + (j,) + rest)
@@ -133,7 +124,7 @@ def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:
     return levels
 
 
-def _narrow(domains: list[int], i: int, j: int, out_rows: list[int], in_rows: list[int]):
+def _narrow(domains: list[int], i: int, j: int, out_rows: tuple[int, ...], in_rows: tuple[int, ...]):
     """The domains once i is sent to j, or None when an element after i is left
     with none.  Such an element k may go to x only if x != j and (j,x) and (x,j)
     are related as (i,k) and (k,i) are; earlier elements are placed already."""
@@ -155,18 +146,14 @@ def _narrow(domains: list[int], i: int, j: int, out_rows: list[int], in_rows: li
     return narrowed
 
 
-def _first_leaf(i: int, domains, out_rows: list[int], in_rows: list[int]):
+def _first_leaf(i: int, domains, out_rows: tuple[int, ...], in_rows: tuple[int, ...]):
     """The least images of i..n within the domains that leave none empty, or
     None; domains is None for a branch already pruned."""
     if domains is None:
         return None
     if i == len(domains):
         return ()
-    d = domains[i]
-    while d:
-        low = d & -d
-        d ^= low
-        j = low.bit_length() - 1
+    for j in set_bits(domains[i]):
         rest = _first_leaf(i + 1, _narrow(domains, i, j, out_rows, in_rows), out_rows, in_rows)
         if rest is not None:
             return (j,) + rest

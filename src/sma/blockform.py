@@ -275,7 +275,3 @@ def render_pattern_grid(bf: BlockForm) -> str:
         if i + 1 in boundaries:
             lines.append("".join("+" if ch == "|" else "-" for ch in lines[-1]))
     return "\n".join(lines)
-
-
-def render_block_pattern(pat: BlockPattern) -> str:
-    return "\n".join(" ".join("F" if cell else "0" for cell in row) for row in pat.full)

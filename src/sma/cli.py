@@ -305,11 +305,16 @@ def _cmd_oracle_randphi(args, rel: Relation):
     return payload, json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _positive_int(text: str) -> int:
+def _int_argument(text: str) -> int:
+    """An integer option or argument, read by the grammar of the file formats."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        return json_int(text, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int_argument(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
     return value
@@ -338,7 +343,7 @@ ORACLE_COMMANDS = (
     ("rank", "cocycle rank from the raw constraint system", _cmd_oracle_rank, ()),
     ("quasiorders", "count quasi-orders on n elements", _cmd_oracle_quasiorders, (("n", {"type": _positive_int}),)),
     ("randphi", "seeded random factored automorphism", _cmd_oracle_randphi,
-     (("--field", {"default": "Q", "help": '"Q" or {"GF": p}'}), ("--seed", {"type": int, "default": 0}))),
+     (("--field", {"default": "Q", "help": '"Q" or {"GF": p}'}), ("--seed", {"type": _int_argument, "default": 0}))),
 )
 
 

@@ -7,10 +7,12 @@ the ground set; the order they inherit is an acyclic relation on classes, the
 condensation.
 
 A Relation is frozen, so what the algorithms read about it is computed once,
-on first use, and kept on the object: the sorted pairs, the successor index
-read off them, the validation report, the classes, the condensation with its
-cover edges and isolated classes, the spanning forest of the comparability
-graph, and the default block form.
+on first use, and kept on the object: the sorted pairs, the bit rows (bit t of
+out_rows[i] is set when (i, t) is related, bit t of in_rows[i] when (t, i) is),
+the validation report, the classes, the condensation with its cover edges and
+isolated classes, the spanning forest of the comparability graph, and the
+default block form.  The bit rows are the only adjacency index: validation,
+classes, condensation, the cocycle check and the automorphism search read them.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidRelation, ParseError
@@ -92,7 +93,8 @@ class Relation:
         return cls(n, frozenset((i, j) for i in rng for j in rng))
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return self._index.get(i, ())
+        """The elements j with (i, j) related, ascending; () for i outside 1..n."""
+        return tuple(set_bits(self.out_rows[i])) if 1 <= i <= self.n else ()
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return self._sorted_pairs
@@ -156,8 +158,19 @@ class Relation:
         return tuple(p for p in self._sorted_pairs if p[0] != p[1])
 
     @cached_property
-    def _index(self) -> dict[int, tuple[int, ...]]:
-        return _build_index(self)
+    def out_rows(self) -> tuple[int, ...]:
+        """Bit t of out_rows[i] is set when (i, t) is related; out_rows[0] is 0."""
+        return _build_rows(self)
+
+    @cached_property
+    def in_rows(self) -> tuple[int, ...]:
+        """Bit t of in_rows[i] is set when (t, i) is related; in_rows[0] is 0.
+        Built apart from out_rows, on first use, since the automorphism search
+        is its one reader."""
+        rows = [0] * (self.n + 1)
+        for i, j in self.pairs:
+            rows[j] |= 1 << i
+        return tuple(rows)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -189,10 +202,21 @@ class Relation:
         return _block_form(self)
 
 
-def _build_index(rel: Relation) -> dict[int, tuple[int, ...]]:
-    """The sorted successors of each element that is the first of a pair: one
-    run of the sorted pairs each (an element with no successor gets no entry)."""
-    return {i: tuple(j for _, j in run) for i, run in groupby(rel.sorted_pairs(), itemgetter(0))}
+def _build_rows(rel: Relation) -> tuple[int, ...]:
+    """Relation.out_rows: the successors of each element as the set bits of
+    one int, index 0 included and empty."""
+    rows = [0] * (rel.n + 1)
+    for i, j in rel.pairs:
+        rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def set_bits(row: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative `row`, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 @dataclass(frozen=True)
@@ -237,34 +261,33 @@ def _validate(rel: Relation) -> ValidationReport:
 
 
 def _violations(rel: Relation) -> Iterator[Violation]:
-    """Every missing diagonal pair in order, then every broken chain in sorted pair order."""
+    """Every missing diagonal pair in order, then every broken chain in sorted
+    pair order: for each related (i, j), ascending, the k above j but not above i."""
+    rows = rel.out_rows
     for i in range(1, rel.n + 1):
-        if (i, i) not in rel.pairs:
+        if not rows[i] >> i & 1:
             yield Violation("reflexivity", ((i, i),), (i, i))
-    succ = rel._index
-    for i, j in rel.sorted_pairs():
-        for k in succ.get(j, ()):
-            if (i, k) not in rel.pairs:
-                yield Violation("transitivity", ((i, j), (j, k)), (i, k))
+    for i in range(1, rel.n + 1):
+        row_i = rows[i]
+        outside_i = ~row_i
+        for j in set_bits(row_i):
+            missing = rows[j] & outside_i
+            if missing:
+                for k in set_bits(missing):
+                    yield Violation("transitivity", ((i, j), (j, k)), (i, k))
 
 
 def transitive_reflexive_closure(rel: Relation) -> Relation:
-    """Smallest quasi-order containing the given pairs (Warshall closure)."""
+    """Smallest quasi-order containing the given pairs (Warshall closure on bit
+    rows: each row that reaches k takes in k's row)."""
     n = rel.n
-    reach = [[False] * (n + 1) for _ in range(n + 1)]
-    for i, j in rel.pairs:
-        reach[i][j] = True
-    for i in range(1, n + 1):
-        reach[i][i] = True
+    reach = [row | 1 << i for i, row in enumerate(rel.out_rows)]
     for k in range(1, n + 1):
-        rk = reach[k]
+        bit, row_k = 1 << k, reach[k]
         for i in range(1, n + 1):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(1, n + 1):
-                    if rk[j]:
-                        ri[j] = True
-    return Relation(n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if reach[i][j]))
+            if reach[i] & bit:
+                reach[i] |= row_k
+    return Relation(n, frozenset((i, j) for i in range(1, n + 1) for j in set_bits(reach[i])))
 
 
 @dataclass(frozen=True)
@@ -302,10 +325,10 @@ def equivalence_classes(rel: Relation) -> ClassPartition:
 
 def _classes(rel: Relation) -> ClassPartition:
     """In a quasi-order, i and j are mutually related iff they have the same successors."""
-    succ = rel._index
-    members: dict[tuple[int, ...], list[int]] = {}
+    rows = rel.out_rows
+    members: dict[int, list[int]] = {}
     for i in range(1, rel.n + 1):
-        members.setdefault(succ[i], []).append(i)
+        members.setdefault(rows[i], []).append(i)
     return ClassPartition(tuple(map(tuple, members.values())))
 
 
@@ -359,12 +382,11 @@ def _condensation(rel: Relation) -> CondensationDAG:
     succeeds its own; representatives ascend with the class index."""
     reps = rel.partition.representatives
     class_of_rep = {rep: a for a, rep in enumerate(reps)}
-    succ = rel._index
-    above = [()] * len(reps)
-    for a, rep in enumerate(reps):
-        if len(succ[rep]) > 1:  # else rep is its own only successor: nothing above
-            above[a] = tuple([class_of_rep[j] for j in succ[rep] if j != rep and j in class_of_rep])
-    return CondensationDAG(tuple(above))
+    rep_mask = sum(1 << rep for rep in reps)
+    rows = rel.out_rows
+    return CondensationDAG(tuple(
+        tuple([class_of_rep[j] for j in set_bits(rows[rep] & rep_mask & ~(1 << rep))]) for rep in reps
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures: the golden relations and the two scalar fields, and the
-crown and class-growing builders that several test modules share.
+crown and class-growing builders and the grid scaling that several test
+modules share.
 
 Naming: sym6 is symmetric (three mutually incomparable classes of sizes 3, 2,
 1); vee3 has two minimal elements below one maximal; crown6 condenses to four
@@ -47,6 +48,11 @@ def child_env():
     checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def grid_scale(field, c, grid):
+    """c times every entry of the grid."""
+    return tuple(tuple(field.reduce(c * x) for x in row) for row in grid)
 
 
 def crown(n):

@@ -782,6 +782,24 @@ class TestIntegerGrammar:
         assert (code, out) == (2, "")
         assert err == "error: SMA_MAX_N must be an integer, got '1_0'\n"
 
+    @pytest.mark.parametrize("text", ["\u0663", "+3", "1_0"])
+    def test_quasiorders_size_exits_two(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", "oracle", "quasiorders", text])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument n: value must be an integer, got {text!r}" in err
+
+    @pytest.mark.parametrize("text", ["\u0661", "+3", "1_0"])
+    def test_seed_exits_two(self, capsys, text):
+        vee3 = str(GOLDEN / "vee3.json")
+        assert run(capsys, "--json", "oracle", "randphi", vee3, "--seed", "-1")[0] == 0  # signed
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", "oracle", "randphi", vee3, "--seed", text])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --seed: value must be an integer, got {text!r}" in err
+
 
 class TestJsonFixpoint:
     def test_relation_json_round_trips(self, capsys):

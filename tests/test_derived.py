@@ -1,11 +1,14 @@
 """A Relation's derived structure: equal to the definitions it replaced, and
 computed once per relation.
 
-The successor index, the validation report, the classes and the condensation
-are compared with their plain definitions, written out here without the
-index, on every quasi-order with n <= 4 and on seeded relations that are not
-quasi-orders.  A verify-then-factor run counts how often each structure is
-computed.  The names the benchmark imports must stay importable.
+The successors read off the bit rows, the validation report, the classes and
+the condensation are compared with their plain definitions, written out here
+without the rows, on every quasi-order with n <= 4, on every relation with
+n <= 3 and on seeded relations up to n = 40, truncated reports included.  The
+reflexive-transitive closure is compared with a Warshall closure over pair
+sets on every relation with n <= 4.  A verify-then-factor run counts how often
+each structure is computed.  The names the benchmark imports must stay
+importable.
 """
 
 import ast
@@ -30,6 +33,7 @@ from sma import (
     gf,
     random_factored_automorphism,
     spec_from_json,
+    transitive_reflexive_closure,
     validate,
     verify_automorphism,
 )
@@ -59,6 +63,15 @@ def plain_validate(rel):
     return ValidationReport(not found, tuple(found[:CAP]), len(found) > CAP)
 
 
+def plain_closure(rel):
+    reach = set(rel.pairs) | {(i, i) for i in range(1, rel.n + 1)}
+    for k in range(1, rel.n + 1):
+        for i in range(1, rel.n + 1):
+            if (i, k) in reach:
+                reach.update((i, j) for j in range(1, rel.n + 1) if (k, j) in reach)
+    return Relation(rel.n, frozenset(reach))
+
+
 def plain_classes(rel):
     seen, classes = set(), []
     for i in range(1, rel.n + 1):
@@ -80,6 +93,13 @@ def small_quasiorders():
         yield from enumerate_quasiorders(n)
 
 
+def every_relation(n):
+    """Each of the 2^(n*n) pair sets on {1..n}."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for mask in range(1 << len(cells)):
+        yield Relation(n, frozenset(cell for k, cell in enumerate(cells) if mask >> k & 1))
+
+
 def non_quasiorders(count=50):
     """Seeded random relations that fail reflexivity, transitivity or both;
     the denser ones on larger ground sets exceed the reporting cap."""
@@ -98,8 +118,9 @@ def non_quasiorders(count=50):
 
 
 def check_index_and_report(rel):
-    for i in range(0, rel.n + 2):
+    for i in range(-1, rel.n + 2):  # -1 would index the rows from the end
         assert rel.successors(i) == plain_successors(rel, i)
+    assert rel.in_rows == tuple(sum(1 << t for t, j in rel.pairs if j == i) for i in range(rel.n + 1))
     assert validate(rel) == plain_validate(rel)
 
 
@@ -133,6 +154,43 @@ def test_structure_matches_the_definitions_on_non_quasiorders():
     assert capped > 0  # the cap is exercised too
 
 
+def test_index_and_report_match_the_definitions_on_every_relation_up_to_three():
+    count = 0
+    for n in (1, 2, 3):
+        for rel in every_relation(n):
+            check_index_and_report(rel)
+            count += 1
+    assert count == 2 + 2**4 + 2**9
+
+
+def test_index_and_report_match_the_definitions_up_to_forty_elements():
+    """Seeded relations of every density, and stars whose chains break around
+    the reporting cap: (1, 2) and (2, k) for 3 <= k <= m, each k one violation."""
+    rng = random.Random(20261020)
+    relations = []
+    for n in range(1, 41, 3):  # 1, 4, ..., 40
+        for density in (0.05, 0.3, 0.7, 0.95):
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density]
+            relations.append(Relation.from_pairs(n, pairs + [(i, i) for i in range(1, n + 1)]))
+            relations.append(Relation.from_pairs(n, pairs))
+    for m in (CAP + 1, CAP + 2, CAP + 3):
+        star = [(1, 2)] + [(2, k) for k in range(3, m + 1)] + [(i, i) for i in range(1, m + 1)]
+        relations.append(Relation.from_pairs(m, star))
+    reports = []
+    for rel in relations:
+        check_index_and_report(rel)
+        reports.append(validate(rel))
+    assert sum(report.ok for report in reports) > 0
+    assert sum(report.truncated for report in reports) > 3
+    assert [(len(r.violations), r.truncated) for r in reports[-3:]] == [(CAP - 1, False), (CAP, False), (CAP, True)]
+
+
+def test_closure_matches_warshall_on_every_relation_up_to_four():
+    for n in (1, 2, 3, 4):
+        for rel in every_relation(n):
+            assert transitive_reflexive_closure(rel) == plain_closure(rel)
+
+
 def test_condensation_needs_the_relations_own_partition(vee3, crown6):
     with pytest.raises(ValueError):
         condensation(vee3, equivalence_classes(crown6))
@@ -151,7 +209,7 @@ def test_identity_on_ten_thousand_elements():
 # ---------------------------------------------------------------------------
 # computed once per relation
 
-COMPUTATIONS = ("_build_index", "_validate", "_classes", "_condensation", "_forest")
+COMPUTATIONS = ("_build_rows", "_validate", "_classes", "_condensation", "_forest")
 
 
 def _fresh_crown6_map():

@@ -61,6 +61,12 @@ def dense_nullspace(field, rows, ncols):
     return basis
 
 
+def kernel_vectors(echelon, ncols):
+    """The canonical nullspace basis `Echelon.kernel` returns, as dense vectors."""
+    zero = echelon.field.zero()
+    return [tuple(vec.get(c, zero) for c in range(ncols)) for vec in echelon.kernel(ncols)]
+
+
 def dense_inverse(field, a):
     n = len(a)
     left = [list(row) for row in a]
@@ -179,7 +185,7 @@ class TestSparseKernel:
         reduced, pivots = dense_rref(field, rows)
         assert sparse_rref(field, rows, ncols) == (reduced[: len(pivots)], pivots)
         assert matrix_rank(field, rows) == len(pivots)
-        assert echelon_of(field, rows).nullspace(ncols) == dense_nullspace(field, rows, ncols)
+        assert kernel_vectors(echelon_of(field, rows), ncols) == dense_nullspace(field, rows, ncols)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -198,9 +204,9 @@ class TestSparseKernel:
         zero, one = field.zero(), field.one()
         assert sparse_rref(field, [], 2) == ([], [])
         assert matrix_rank(field, []) == 0
-        assert echelon_of(field, []).nullspace(2) == [(one, zero), (zero, one)]
+        assert kernel_vectors(echelon_of(field, []), 2) == [(one, zero), (zero, one)]
         assert matrix_rank(field, [[zero, zero]]) == 0
-        assert echelon_of(field, [[zero, zero]]).nullspace(2) == [(one, zero), (zero, one)]
+        assert kernel_vectors(echelon_of(field, [[zero, zero]]), 2) == [(one, zero), (zero, one)]
         assert sparse_rref(field, [[zero, zero]], 2) == ([], [])
 
     def test_insertion_order_does_not_change_the_echelon(self, field):

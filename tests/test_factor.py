@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import CROWN6_BLOCK_PAIRS, SYM6_BLOCK_PAIRS, VEE3_BLOCK_PAIRS
+from conftest import CROWN6_BLOCK_PAIRS, SYM6_BLOCK_PAIRS, VEE3_BLOCK_PAIRS, grid_scale
 
 import sma.automorphism as automorphism
 import sma.factor as factor
@@ -36,7 +36,7 @@ from sma import (
     permutation_similarity,
     verify_automorphism,
 )
-from sma.algebra import Echelon, grid_mul, grid_scale, invert_grid
+from sma.algebra import Echelon, grid_mul, invert_grid
 from sma.automorphism import BasisImageAutomorphism
 from sma.oracle import brute_verify, random_factored_automorphism, random_invertible
 
@@ -313,9 +313,10 @@ def solved_conjugator(field, images, m):
                 if r == u:
                     row[w * m + c] = field.reduce(row.get(w * m + c, 0) - field.one())
                 echelon.add(row)
-    (vec,) = echelon.nullspace(nvars)
-    lead_inv = field.inv(next(v for v in vec if v != 0))
-    return tuple(tuple(field.reduce(vec[r * m + c] * lead_inv) for c in range(m)) for r in range(m))
+    (vec,) = echelon.kernel(nvars)  # sparse: its nonzero entries only
+    lead_inv = field.inv(vec[min(vec)])
+    zero = field.zero()
+    return tuple(tuple(field.reduce(vec.get(r * m + c, zero) * lead_inv) for c in range(m)) for r in range(m))
 
 
 class TestBlockConjugator:

@@ -16,12 +16,12 @@ from conftest import child_env
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = """
-    Field RATIONALS StructMatrix diagonal_matrix gf identity_matrix is_member matrix_unit
+    Field RATIONALS StructMatrix gf identity_matrix is_member matrix_unit
     AutomorphismSpec BasisImageAutomorphism FactoredAutomorphism apply compose
     enumerate_relation_automorphisms equal_as_maps identity_automorphism induced_automorphism
     inner_automorphism is_relation_automorphism permutation_similarity spec_from_json
     BlockForm BlockPattern Permutation block_pattern build_block_form compose_permutations
-    conjugate_relation is_block_form is_semisimple render_block_pattern render_pattern_grid
+    conjugate_relation is_block_form is_semisimple render_pattern_grid
     BoundExceeded InvalidOverride InvalidRelation Mismatch NotAutomorphism NotRelationAutomorphism
     NotTransitive OffPattern ParseError Singular SmaError
     VerifyReport conjugate_by_block_form factor_automorphism verify_automorphism

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import grid_scale
 
 from sma import (
     Mismatch,
     RATIONALS,
     Relation,
     ScalingVector,
+    StructMatrix,
     TransitiveFn,
     ViolatingCycle,
     canonicalize,
@@ -15,7 +17,6 @@ from sma import (
     coboundary,
     cocycle_rank,
     compose,
-    diagonal_matrix,
     enumerate_quasiorders,
     equal_as_maps,
     gf,
@@ -122,9 +123,8 @@ class TestInducedAutomorphism:
         g = TransitiveFn.build(crown6_block, RATIONALS, {(1, 4): 2})
         G = induced_automorphism(g).as_basis_images()
         assert verify_automorphism(G).ok
-        doubled = matrix_unit(crown6_block, RATIONALS, 1, 4).scale(2)
         images = G.images()
-        assert images[(1, 4)] == doubled.rows
+        assert images[(1, 4)] == grid_scale(RATIONALS, 2, matrix_unit(crown6_block, RATIONALS, 1, 4).rows)
         for (i, j) in crown6_block.sorted_pairs():
             if (i, j) != (1, 4):
                 assert images[(i, j)] == matrix_unit(crown6_block, RATIONALS, i, j).rows
@@ -133,7 +133,7 @@ class TestInducedAutomorphism:
         # With conjugation B -> A^-1 B A, the coboundary of s acts like diag(1/s).
         s = [Fraction(2), Fraction(1), Fraction(1)]
         G = induced_automorphism(coboundary(vee3_block, RATIONALS, s))
-        D = diagonal_matrix(RATIONALS, vee3_block, [1 / v for v in s])
+        D = StructMatrix.from_values(RATIONALS, vee3_block, {(i, i): 1 / v for i, v in enumerate(s, start=1)})
         assert equal_as_maps(G, inner_automorphism(D))
 
     def test_products_become_compositions(self, crown6_block):
