@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ParseError, SmaError
-from .relation import Relation, equivalence_classes, json_int, parse_json, validate
+from .relation import MAX_ROWS_N, Relation, equivalence_classes, json_int, parse_json, validate
 
 if TYPE_CHECKING:
     from .blockform import BlockForm
@@ -50,19 +50,15 @@ def _load_json(path: str):
     return parse_json(_read_text(path), path)
 
 
-# Largest n --close-reflexive accepts: the closure lists all n diagonal pairs.
-MAX_CLOSE_REFLEXIVE_N = 100_000
-
-
 def _load_relation(args) -> Relation:
     """The relation argument, after --close-reflexive; InvalidRelation when it
     is not a quasi-order, unless the subcommand is `validate`."""
     rel = Relation.parse(_read_text(args.relation), args.relation)
     if args.close_reflexive:
-        if rel.n > MAX_CLOSE_REFLEXIVE_N:
-            raise ParseError(
-                f"--close-reflexive accepts n up to {MAX_CLOSE_REFLEXIVE_N}, got n = {rel.n}"
-            )
+        # the closed relation is reflexive, so every subcommand builds its bit
+        # rows; refuse before the diagonal is listed
+        if rel.n > MAX_ROWS_N:
+            raise ParseError(f"--close-reflexive accepts n up to {MAX_ROWS_N}, got n = {rel.n}")
         missing = {(i, i) for i in range(1, rel.n + 1)} - rel.pairs
         if missing:
             rel = Relation(rel.n, rel.pairs | missing)

@@ -24,9 +24,14 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidRelation, ParseError
+from .errors import BoundExceeded, InvalidRelation, ParseError
 
 MAX_REPORTED_VIOLATIONS = 100
+
+# Largest ground set whose bit rows are built.  Each row holds a bit for every
+# element up to its last successor, so the rows of the identity on n elements
+# take about n²/16 bytes: 25 MB at this bound.
+MAX_ROWS_N = 20_000
 
 
 def parse_json(text: str, source: str | None = None):
@@ -167,10 +172,7 @@ class Relation:
         """Bit t of in_rows[i] is set when (t, i) is related; in_rows[0] is 0.
         Built apart from out_rows, on first use, since the automorphism search
         is its one reader."""
-        rows = [0] * (self.n + 1)
-        for i, j in self.pairs:
-            rows[j] |= 1 << i
-        return tuple(rows)
+        return _build_rows(self, transpose=True)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -202,11 +204,15 @@ class Relation:
         return _block_form(self)
 
 
-def _build_rows(rel: Relation) -> tuple[int, ...]:
+def _build_rows(rel: Relation, transpose: bool = False) -> tuple[int, ...]:
     """Relation.out_rows: the successors of each element as the set bits of
-    one int, index 0 included and empty."""
+    one int, index 0 included and empty; Relation.in_rows, the predecessors,
+    when `transpose`.  BoundExceeded, before anything is built, when n is over
+    MAX_ROWS_N."""
+    if rel.n > MAX_ROWS_N:
+        raise BoundExceeded(f"n = {rel.n} is over {MAX_ROWS_N}, the largest ground set whose bit rows are built")
     rows = [0] * (rel.n + 1)
-    for i, j in rel.pairs:
+    for i, j in ((j, i) for i, j in rel.pairs) if transpose else rel.pairs:
         rows[i] |= 1 << j
     return tuple(rows)
 
@@ -262,11 +268,13 @@ def _validate(rel: Relation) -> ValidationReport:
 
 def _violations(rel: Relation) -> Iterator[Violation]:
     """Every missing diagonal pair in order, then every broken chain in sorted
-    pair order: for each related (i, j), ascending, the k above j but not above i."""
-    rows = rel.out_rows
+    pair order: for each related (i, j), ascending, the k above j but not above i.
+    The diagonal is read off the pair set, so a ground set missing more than
+    MAX_REPORTED_VIOLATIONS diagonal pairs is reported before any row is built."""
     for i in range(1, rel.n + 1):
-        if not rows[i] >> i & 1:
+        if (i, i) not in rel.pairs:
             yield Violation("reflexivity", ((i, i),), (i, i))
+    rows = rel.out_rows
     for i in range(1, rel.n + 1):
         row_i = rows[i]
         outside_i = ~row_i

@@ -338,18 +338,46 @@ class TestExitCodes:
         assert code == 0
 
     def test_close_reflexive_refuses_a_ground_set_over_its_bound(self, capsys, tmp_path):
-        from sma.cli import MAX_CLOSE_REFLEXIVE_N
+        from sma.relation import MAX_ROWS_N
 
         f = tmp_path / "huge.json"
         f.write_text(json.dumps({"n": 10**8, "pairs": []}))
         code, _, err = run(capsys, "validate", str(f), "--close-reflexive")
         assert code == 2
-        assert str(MAX_CLOSE_REFLEXIVE_N) in err and "Traceback" not in err
+        assert str(MAX_ROWS_N) in err and "Traceback" not in err
         # without the flag nothing is built over the ground set: the first
         # missing diagonal pairs are reported at once
         code, out, _ = run(capsys, "validate", str(f))
         assert code == 1
         assert "missing diagonal pair (1,1)" in out
+
+    def test_a_billion_missing_diagonal_pairs_are_reported_without_building_rows(self, capsys, tmp_path):
+        # rows over 10**9 elements would take gigabytes; past MAX_ROWS_N their
+        # build raises BoundExceeded, which would print an error, not this report
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"n": 10**9, "pairs": []}))
+        code, out, err = run(capsys, "--json", "validate", str(f))
+        report = json.loads(out)
+        assert (code, err, report["ok"], report["truncated"]) == (1, "", False, True)
+        assert report["violations"] == [f"missing diagonal pair ({i},{i})" for i in range(1, 101)]
+
+    def test_relations_over_the_row_bound_are_refused(self, capsys, tmp_path):
+        from sma.relation import MAX_ROWS_N, Relation
+
+        def validate_file(rel_json, *flags):
+            f = tmp_path / "rel.json"
+            f.write_text(json.dumps(rel_json))
+            code, _, err = run(capsys, "--json", "validate", str(f), *flags)
+            return code, err
+
+        n = MAX_ROWS_N
+        assert validate_file({"n": n, "pairs": []}, "--close-reflexive") == (0, "")
+        assert validate_file(Relation.identity(n).to_json()) == (0, "")
+        n = MAX_ROWS_N + 1
+        assert validate_file({"n": n, "pairs": []}, "--close-reflexive") == (
+            2, f"error: --close-reflexive accepts n up to {MAX_ROWS_N}, got n = {n}\n")
+        assert validate_file(Relation.identity(n).to_json()) == (
+            1, f"error: n = {n} is over {MAX_ROWS_N}, the largest ground set whose bit rows are built\n")
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         junk = tmp_path / "junk.json"

@@ -22,6 +22,7 @@ import sma.oracle as oracle
 import sma.relation as relation_module
 from sma import (
     RATIONALS,
+    BoundExceeded,
     InvalidRelation,
     Relation,
     build_block_form,
@@ -197,13 +198,26 @@ def test_condensation_needs_the_relations_own_partition(vee3, crown6):
 
 
 def test_identity_on_ten_thousand_elements():
-    """Each element is its own class and nothing moves.  Every step is linear
-    in the number of pairs; the scans the index replaced were quadratic."""
+    """Each element is its own class and nothing moves.  Every step reads
+    each bit row once, and the rows take about n²/16 bytes."""
     n = 10_000
     rel = Relation.identity(n)
     assert validate(rel) == ValidationReport(True, ())
     assert equivalence_classes(rel).classes == tuple((i,) for i in range(1, n + 1))
     assert build_block_form(rel).pi.is_identity()
+
+
+def test_rows_are_refused_over_their_bound_but_a_missing_diagonal_is_reported():
+    big = Relation.identity(relation_module.MAX_ROWS_N + 1)
+    for rows in ("out_rows", "in_rows"):
+        with pytest.raises(BoundExceeded, match="bit rows"):
+            getattr(big, rows)
+    with pytest.raises(BoundExceeded):
+        validate(big)
+    bare = Relation(10**8, frozenset())
+    report = validate(bare)
+    assert report.truncated and report.violations[-1] == Violation("reflexivity", ((100, 100),), (100, 100))
+    assert "out_rows" not in vars(bare)
 
 
 # ---------------------------------------------------------------------------
