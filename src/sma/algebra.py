@@ -1,10 +1,12 @@
 """Exact scalar fields and pattern-constrained matrices.
 
-Scalars are either `fractions.Fraction` (the rationals) or plain ints kept
-reduced mod a prime (GF(p)).  Both support the native + and * operators, so
-matrix kernels accumulate with ordinary arithmetic and reduce once per entry;
-division and inversion go through the `Field` descriptor.  No floating point
-is used anywhere.
+Scalars are either `Rational` (the rationals) or plain ints kept reduced mod a
+prime (GF(p)).  `Rational` is a `fractions.Fraction` whose arithmetic with
+another `Rational` or an int takes a direct path: one gcd on the raw numerator
+and denominator, and the result built without Fraction's constructor.  Both
+kinds support the native + and * operators, so matrix kernels accumulate with
+ordinary arithmetic and reduce once per entry; division and inversion go
+through the `Field` descriptor.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import Mismatch, OffPattern, ParseError, Singular
 from .relation import INTEGER, Relation, json_int
 
-Scalar = Union[Fraction, int]
+Scalar = Union[Fraction, int]  # a Rational over Q; a plain Fraction is accepted and gives equal results
 Grid = tuple[tuple[Scalar, ...], ...]
 SparseRows = tuple[tuple[tuple[int, Scalar], ...], ...]
 SparseRow = dict[int, Scalar]  # column -> nonzero value
@@ -34,8 +37,94 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # also take decimals and exponents, and expand "1e100000000" digit by digit.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+_new = object.__new__
+
+
+def _make(n: int, d: int) -> Rational:
+    """The Rational n/d, from coprime n and d > 0; every zero is the one object _Q_ZERO."""
+    if not n:
+        return _Q_ZERO
+    q = _new(Rational)
+    q._numerator, q._denominator = n, d
+    return q
+
+
+# The kernels take raw parts: coprime na, da and nb, db with da, db > 0.  Their
+# reductions are Fraction's own, so each result is in lowest terms.
+def _add(na: int, da: int, nb: int, db: int) -> Rational:
+    g = gcd(da, db)
+    if g == 1:
+        return _make(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return _make(t // g2, s * (db // g2))
+
+
+def _sub(na: int, da: int, nb: int, db: int) -> Rational:
+    return _add(na, da, -nb, db)
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> Rational:
+    g1, g2 = gcd(na, db), gcd(nb, da)
+    return _make((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _div(na: int, da: int, nb: int, db: int) -> Rational:
+    if nb < 0:
+        nb, db = -nb, -db
+    elif not nb:
+        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+    return _mul(na, da, db, nb)
+
+
+def _operator(kernel, fallback, reflected=False):
+    """A Rational operator: `kernel` on the raw parts of (a, b), or of (b, a)
+    when reflected, for a Rational or int b; Fraction's `fallback` for any other b."""
+
+    def op(a, b):
+        if type(b) is Rational:
+            nb, db = b._numerator, b._denominator
+        elif type(b) is int:
+            nb, db = b, 1
+        else:
+            return fallback(a, b)
+        if reflected:
+            return kernel(nb, db, a._numerator, a._denominator)
+        return kernel(a._numerator, a._denominator, nb, db)
+
+    return op
+
+
+class Rational(Fraction):
+    """The scalar of Q.  + - * / unary - == != with a Rational or an int take the
+    direct path; any other operand goes to Fraction, so a plain Fraction operand
+    gives a Fraction of equal value.  Hash, str and repr are Fraction's."""
+
+    __slots__ = ()
+
+    __add__ = _operator(_add, Fraction.__add__)
+    __radd__ = _operator(_add, Fraction.__radd__)
+    __sub__ = _operator(_sub, Fraction.__sub__)
+    __rsub__ = _operator(_sub, Fraction.__rsub__, reflected=True)
+    __mul__ = _operator(_mul, Fraction.__mul__)
+    __rmul__ = _operator(_mul, Fraction.__rmul__)
+    __truediv__ = _operator(_div, Fraction.__truediv__)
+    __rtruediv__ = _operator(_div, Fraction.__rtruediv__, reflected=True)
+
+    def __neg__(a):
+        return _make(-a._numerator, a._denominator)
+
+    __eq__ = _operator(lambda na, da, nb, db: na == nb and da == db, Fraction.__eq__)
+    __ne__ = _operator(lambda na, da, nb, db: na != nb or da != db, Fraction.__ne__)
+    __hash__ = Fraction.__hash__
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
 # Every zero over Q is this one object, so compares of zeros take the identity shortcut.
-_Q_ZERO = Fraction(0)
+_Q_ZERO, _Q_ONE = Rational(0), Rational(1)
 
 
 def _is_prime(p: int) -> bool:
@@ -88,7 +177,7 @@ class Field:
         return _Q_ZERO if self.char is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.char is None else 1
+        return _Q_ONE if self.char is None else 1
 
     def element(self, value) -> Scalar:
         """Canonical scalar from an int, Fraction, or string; floats are rejected."""
@@ -96,7 +185,7 @@ class Field:
             raise ValueError("floating-point values are not exact; use ints or 'num/den' strings")
         if self.char is None:
             try:
-                return Fraction(value) or _Q_ZERO
+                return Rational(value) or _Q_ZERO
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"not a rational value: {value!r}") from exc
         try:
@@ -114,7 +203,7 @@ class Field:
         if value == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
         if self.char is None:
-            return Fraction(1) / value
+            return _Q_ONE / value
         return pow(value, -1, self.char)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -122,14 +211,14 @@ class Field:
 
     def pow(self, value: Scalar, exponent: int) -> Scalar:
         if self.char is None:
-            return Fraction(value) ** exponent
+            return Rational(Fraction(value) ** exponent) or _Q_ZERO
         if exponent < 0 and value % self.char == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
         return pow(value, exponent, self.char)
 
     def random(self, rng) -> Scalar:
         if self.char is None:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            return _div(rng.randint(-9, 9), 1, rng.randint(1, 4), 1)
         return rng.randrange(self.char)
 
     def random_nonzero(self, rng) -> Scalar:
@@ -163,9 +252,12 @@ class Field:
         if isinstance(obj, bool) or not (isinstance(obj, int) or isinstance(obj, str) and grammar.fullmatch(obj)):
             raise ParseError(f"{self.name} scalar must be {what}, got {obj!r}")
         try:
+            if self.char is None and isinstance(obj, str):  # built from the digits the grammar matched
+                num, _, den = obj.partition("/")
+                return _div(int(num), 1, int(den or 1), 1)
             return self.element(obj)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(str(exc) if self.char else f"not a rational value: {obj!r}") from exc
 
 
 RATIONALS = Field(None)
@@ -406,8 +498,27 @@ def grid_to_json(field: Field, grid: Grid) -> dict:
     }
 
 
-def grid_from_json(obj, n: int) -> tuple[Field, Grid]:
-    """The field and the n x n grid of matrix JSON, with no pattern check."""
+class _Scalars(dict):
+    """One field's wire values: each distinct int or str is parsed on first
+    lookup, so equal entries share one scalar; a value that fails is not stored."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+
+    def __missing__(self, value) -> Scalar:
+        x = self[value] = self.field.parse_scalar(value)
+        return x
+
+
+# The only keys of a _Scalars memo: a bool or a float would find the entry of an equal int
+_WIRE = frozenset((int, str))
+
+
+def grid_from_json(obj, n: int, memos: Optional[dict] = None) -> tuple[Field, Grid]:
+    """The field and the n x n grid of matrix JSON, with no pattern check.
+    Grids decoded with one `memos` dict share one scalar memo per field."""
     if not isinstance(obj, dict) or "field" not in obj or "entries" not in obj:
         raise ParseError('matrix JSON must be {"field": ..., "n": ..., "entries": [[...], ...]}')
     field = Field.from_json(obj["field"])
@@ -419,21 +530,13 @@ def grid_from_json(obj, n: int) -> tuple[Field, Grid]:
         raise ParseError(f"matrix size {size} does not match the relation size {n}")
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ParseError(f"expected a {n}x{n} entries grid")
-    # Each distinct int or str is decoded once, so equal entries share one
-    # scalar.  Only exact ints and strs are keys: a bool equals and hashes
-    # like 0 or 1, and would find their entry.  A bad value is never stored,
-    # so the first one in row-major order raises, as without the memo.
-    memo: dict = {}
-
-    def scalar(v):
-        if type(v) is not int and type(v) is not str:
-            return field.parse_scalar(v)
-        x = memo.get(v)
-        if x is None:
-            x = memo[v] = field.parse_scalar(v)
-        return x
-
-    return field, tuple(tuple(map(scalar, row)) for row in entries)
+    scalar = ({} if memos is None else memos).setdefault(field, _Scalars(field)).__getitem__
+    return field, tuple(
+        tuple(map(scalar, row)) if _WIRE.issuperset(map(type, row))
+        # else entry by entry, so the first bad entry in row-major order raises
+        else tuple(scalar(v) if type(v) in _WIRE else field.parse_scalar(v) for v in row)
+        for row in entries
+    )
 
 
 def identity_matrix(field: Field, pattern: Relation) -> StructMatrix:

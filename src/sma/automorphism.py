@@ -376,6 +376,7 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
             raise ParseError("images must be a list of [i, j, matrix] triples")
         images = {}
         field = None
+        memos: dict = {}  # scalar memos shared by every image
         for item in obj["images"]:
             if not isinstance(item, list) or len(item) != 3:
                 raise ParseError(f"malformed image triple {item!r}")
@@ -383,7 +384,7 @@ def spec_from_json(obj, relation: Relation) -> AutomorphismSpec:
             pair = (json_int(i, "image index"), json_int(j, "image index"))
             if pair in images:
                 raise ParseError(f"image of unit {pair} is given twice")
-            grid_field, images[pair] = grid_from_json(mat, relation.n)
+            grid_field, images[pair] = grid_from_json(mat, relation.n, memos)
             if field is None:
                 field = grid_field
             elif field != grid_field:

@@ -10,9 +10,10 @@ decoded is a parse error.
 
 A subcommand is a function of the parsed arguments and the loaded relation
 (None for `oracle quasiorders`, the one subcommand without a relation file).
-It returns its JSON payload, its human text and, when it is not 0, its exit
-code.  `main` alone loads the relation, applies `--close-reflexive` and the
-quasi-order gate, prints the payload or the text, and maps errors to exit
+It returns its JSON payload, a function of no arguments that builds its human
+text and, when it is not 0, its exit code.  `main` alone loads the relation,
+applies `--close-reflexive` and the quasi-order gate, prints the payload or
+the text, building the text only when it prints it, and maps errors to exit
 codes.  Each subcommand imports the modules it calls, so a command that only
 reads a relation loads no algebra.
 """
@@ -95,11 +96,15 @@ def _cmd_validate(args, rel: Relation):
         "violations": [str(v) for v in report.violations],
         "truncated": report.truncated,
     }
-    lines = ["valid quasi-order" if report.ok else "not a quasi-order:"]
-    lines += [f"  {v}" for v in report.violations]
-    if report.truncated:
-        lines.append("  (more violations suppressed)")
-    return payload, "\n".join(lines), 0 if report.ok else 1
+
+    def text():
+        lines = ["valid quasi-order" if report.ok else "not a quasi-order:"]
+        lines += [f"  {v}" for v in report.violations]
+        if report.truncated:
+            lines.append("  (more violations suppressed)")
+        return "\n".join(lines)
+
+    return payload, text, 0 if report.ok else 1
 
 
 def _cmd_classes(args, rel: Relation):
@@ -108,11 +113,10 @@ def _cmd_classes(args, rel: Relation):
         "classes": [list(c) for c in part.classes],
         "representatives": list(part.representatives),
     }
-    lines = [
+    return payload, lambda: "\n".join(
         f"class {k + 1}: {{{', '.join(map(str, cls))}}} (representative {cls[0]})"
         for k, cls in enumerate(part.classes)
-    ]
-    return payload, "\n".join(lines)
+    )
 
 
 def _cmd_blockform(args, rel: Relation):
@@ -134,7 +138,7 @@ def _cmd_blockform(args, rel: Relation):
         "permuted_pairs": [list(p) for p in bf.permuted.sorted_pairs()],
         "pattern": _pattern_rows(bf),
     }
-    lines = [
+    return payload, lambda: "\n".join([
         "permutation: " + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image)),
         f"cycles: {bf.pi.cycle_notation()}",
         f"class order (1-based): {[k + 1 for k in bf.class_order]}",
@@ -142,22 +146,21 @@ def _cmd_blockform(args, rel: Relation):
         f"comparable blocks: {bf.num_comparable}, isolated blocks: {bf.num_isolated}",
         "",
         render_pattern_grid(bf),
-    ]
-    return payload, "\n".join(lines)
+    ])
 
 
 def _cmd_pattern(args, rel: Relation):
     bf = _block_form(args, rel)
     rows = _pattern_rows(bf)
     payload = {"p": bf.p, "pattern": rows, "block_sizes": list(bf.block_sizes)}
-    return payload, "\n".join(" ".join(row) for row in rows)
+    return payload, lambda: "\n".join(" ".join(row) for row in rows)
 
 
 def _cmd_semisimple(args, rel: Relation):
     from .blockform import is_semisimple
 
     result = is_semisimple(rel)
-    return {"semisimple": result}, "semisimple" if result else "not semisimple"
+    return {"semisimple": result}, lambda: "semisimple" if result else "not semisimple"
 
 
 def _cmd_autos(args, rel: Relation):
@@ -165,9 +168,9 @@ def _cmd_autos(args, rel: Relation):
 
     autos = enumerate_relation_automorphisms(rel)
     payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
-    lines = [f"{len(autos)} relation automorphisms:"]
-    lines += [f"  {t.cycle_notation():<20} {list(t.image)}" for t in autos]
-    return payload, "\n".join(lines)
+    return payload, lambda: "\n".join(
+        [f"{len(autos)} relation automorphisms:"] + [f"  {t.cycle_notation():<20} {list(t.image)}" for t in autos]
+    )
 
 
 def _cmd_transrank(args, rel: Relation):
@@ -179,12 +182,16 @@ def _cmd_transrank(args, rel: Relation):
         for k in range(basis.rank)
     ]
     payload = {"rank": basis.rank, "generators": generators, "note": RANK_CAVEAT}
-    lines = [f"rank: {basis.rank}"]
-    for k in range(basis.rank):
-        terms = ", ".join(f"({i},{j})^{e}" for (i, j), e in sorted(basis.exponents(k).items()))
-        lines.append(f"  generator {k + 1}: {terms}")
-    lines.append(f"note: {RANK_CAVEAT}")
-    return payload, "\n".join(lines)
+
+    def text():
+        lines = [f"rank: {basis.rank}"]
+        for k in range(basis.rank):
+            terms = ", ".join(f"({i},{j})^{e}" for (i, j), e in sorted(basis.exponents(k).items()))
+            lines.append(f"  generator {k + 1}: {terms}")
+        lines.append(f"note: {RANK_CAVEAT}")
+        return "\n".join(lines)
+
+    return payload, text
 
 
 def _cmd_trivial(args, rel: Relation):
@@ -194,19 +201,17 @@ def _cmd_trivial(args, rel: Relation):
     witness = triviality_witness(g)
     if isinstance(witness, ScalingVector):
         payload = {"trivial": True, "scaling": witness.to_json()}
-        human = "trivial: g(i,j) = s(i)/s(j) for s = " + str(witness.to_json())
-    else:
-        payload = {
-            "trivial": False,
-            "cycle": list(witness.vertices),
-            "product": g.field.scalar_to_json(witness.product),
-        }
-        human = (
-            "nontrivial: closed walk "
-            + " -> ".join(map(str, witness.vertices))
-            + f" has oriented product {witness.product}"
-        )
-    return payload, human
+        return payload, lambda: "trivial: g(i,j) = s(i)/s(j) for s = " + str(witness.to_json())
+    payload = {
+        "trivial": False,
+        "cycle": list(witness.vertices),
+        "product": g.field.scalar_to_json(witness.product),
+    }
+    return payload, lambda: (
+        "nontrivial: closed walk "
+        + " -> ".join(map(str, witness.vertices))
+        + f" has oriented product {witness.product}"
+    )
 
 
 def _cmd_verify(args, rel: Relation):
@@ -216,8 +221,8 @@ def _cmd_verify(args, rel: Relation):
     phi = spec_from_json(_load_json(args.phi), rel)
     report = verify_automorphism(phi)
     payload = {"ok": report.ok, "check": report.check, "detail": report.detail}
-    human = "automorphism verified" if report.ok else f"not an automorphism ({report.check}): {report.detail}"
-    return payload, human, 0 if report.ok else 1
+    text = "automorphism verified" if report.ok else f"not an automorphism ({report.check}): {report.detail}"
+    return payload, lambda: text, 0 if report.ok else 1
 
 
 def _cmd_apply(args, rel: Relation):
@@ -227,11 +232,7 @@ def _cmd_apply(args, rel: Relation):
     phi = spec_from_json(_load_json(args.phi), rel)
     m = StructMatrix.from_json(_load_json(args.matrix), rel)
     result = phi.apply(m)
-    lines = [
-        "  ".join(str(v) for v in row)
-        for row in result.rows
-    ]
-    return result.to_json(), "\n".join(lines)
+    return result.to_json(), lambda: "\n".join("  ".join(str(v) for v in row) for row in result.rows)
 
 
 def _cmd_factor(args, rel: Relation):
@@ -243,29 +244,34 @@ def _cmd_factor(args, rel: Relation):
     factored = factor_automorphism(phi)  # its recomposition has been compared with phi
     bf = build_block_form(rel)
     payload = {"recomposition_matches": True}
-    lines = []
-    reproduced = "the input map"
-    if not bf.pi.is_identity():  # the paper's block-form factors, read off phi's own
+    relabelled = not bf.pi.is_identity()
+    if relabelled:  # the paper's block-form factors, read off phi's own
         factored = carry_factors(factored, bf.pi, bf.permuted)
         payload["pi"] = bf.pi.to_json()
-        reproduced = "the input map relabelled by pi"
-        lines.append(
-            "relation was not in block form; factors carried over by "
-            + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image))
-        )
     payload.update(factored.to_json())
-    lines += [
-        f"tau: {factored.permutation.cycle_notation()}  {list(factored.permutation.image)}",
-        "g (canonical, value on pairs not listed is 1): "
-        + json.dumps(factored.scaling.to_json()["values"]),
-        "A:",
-    ]
-    lines += ["  " + "  ".join(str(v) for v in row) for row in factored.conjugator.rows]
-    lines.append(
-        "verification: recomposing inner(A) o scaling(g) o permutation(tau) "
-        f"reproduces {reproduced} exactly"
-    )
-    return payload, "\n".join(lines)
+
+    def text():
+        lines = []
+        if relabelled:
+            lines.append(
+                "relation was not in block form; factors carried over by "
+                + ", ".join(f"{i + 1}->{img}" for i, img in enumerate(bf.pi.image))
+            )
+        lines += [
+            f"tau: {factored.permutation.cycle_notation()}  {list(factored.permutation.image)}",
+            "g (canonical, value on pairs not listed is 1): "
+            + json.dumps(factored.scaling.to_json()["values"]),
+            "A:",
+        ]
+        lines += ["  " + "  ".join(str(v) for v in row) for row in factored.conjugator.rows]
+        lines.append(
+            "verification: recomposing inner(A) o scaling(g) o permutation(tau) reproduces "
+            + ("the input map relabelled by pi" if relabelled else "the input map")
+            + " exactly"
+        )
+        return "\n".join(lines)
+
+    return payload, text
 
 
 def _cmd_oracle_autos(args, rel: Relation):
@@ -273,21 +279,21 @@ def _cmd_oracle_autos(args, rel: Relation):
 
     autos = brute_relation_automorphisms(rel)
     payload = {"count": len(autos), "automorphisms": [t.to_json() for t in autos]}
-    return payload, f"{len(autos)} automorphisms (brute force)"
+    return payload, lambda: f"{len(autos)} automorphisms (brute force)"
 
 
 def _cmd_oracle_rank(args, rel: Relation):
     from .oracle import brute_cocycle_rank
 
     rank = brute_cocycle_rank(rel)
-    return {"rank": rank}, f"rank: {rank} (brute force)"
+    return {"rank": rank}, lambda: f"rank: {rank} (brute force)"
 
 
 def _cmd_oracle_quasiorders(args, rel: None):
     from .oracle import enumerate_quasiorders
 
     count = sum(1 for _ in enumerate_quasiorders(args.n))
-    return {"n": args.n, "count": count}, f"{count} quasi-orders on {args.n} elements"
+    return {"n": args.n, "count": count}, lambda: f"{count} quasi-orders on {args.n} elements"
 
 
 def _cmd_oracle_randphi(args, rel: Relation):
@@ -298,7 +304,7 @@ def _cmd_oracle_randphi(args, rel: Relation):
     if field_obj.lstrip().startswith("{"):
         field_obj = parse_json(field_obj, "--field")
     payload = random_factored_automorphism(rel, Field.from_json(field_obj), args.seed).to_json()
-    return payload, json.dumps(payload, indent=2, sort_keys=True)
+    return payload, lambda: json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _int_argument(text: str) -> int:
@@ -376,8 +382,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rel = _load_relation(args) if "relation" in args else None
-        payload, human, *code = args.func(args, rel)
-        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
+        payload, text, *code = args.func(args, rel)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text())
         sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
         return code[0] if code else 0
     except SmaError as exc:

@@ -1,9 +1,12 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sma import (
     Field,
@@ -19,7 +22,7 @@ from sma import (
     is_member,
     matrix_unit,
 )
-from sma.algebra import grid_from_json, zero_grid
+from sma.algebra import Rational, grid_from_json, zero_grid
 from sma.oracle import random_factored_automorphism, random_in_pattern, random_invertible
 
 
@@ -38,7 +41,7 @@ class TestField:
         assert RATIONALS.element(4) == Fraction(4)
 
     def test_every_rational_zero_is_one_object(self, crown6):
-        # one shared Fraction(0), so compares of zeros take the identity shortcut
+        # one shared Rational zero, so compares of zeros take the identity shortcut
         zero = RATIONALS.zero()
         assert RATIONALS.element(0) is zero and RATIONALS.element("0/7") is zero
         assert RATIONALS.element(Fraction(0)) is zero
@@ -127,6 +130,72 @@ class TestField:
         gf.cache_clear()
         spec_from_json(spec, rel)
         assert calls == [101]
+
+
+def _plain(x):
+    """x as a plain Fraction, built from its parts, so no Rational arithmetic runs."""
+    return Fraction(x.numerator, x.denominator)
+
+
+# numerators and denominators from small to past 2^64, with 0 and negatives
+_parts = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
+_denominators = st.integers(1, 9) | st.integers(1, 2**80)
+_operands = st.one_of(
+    st.builds(lambda n, d: RATIONALS.element(Fraction(n, d)), _parts, _denominators),
+    _parts,
+    st.builds(Fraction, _parts, _denominators),
+)
+
+
+class TestRational:
+    """Rational against plain Fraction, the reference for every field operation
+    over Q that the kernels and brute_verify run."""
+
+    def test_fraction_slot_layout(self):
+        # the direct path reads and writes these two slots of every Rational
+        assert Fraction.__slots__ == ("_numerator", "_denominator"), (
+            f"fractions.Fraction now has slots {Fraction.__slots__}; Rational relies on _numerator and _denominator"
+        )
+        x = RATIONALS.element("-6/4")
+        assert (x._numerator, x._denominator) == (x.numerator, x.denominator) == (-3, 2)
+        assert Rational.__slots__ == () and not hasattr(x, "__dict__")
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_operands, b=_operands)
+    def test_matches_fraction(self, a, b):
+        if Rational not in (type(a), type(b)):
+            a = RATIONALS.element(a)
+        zero = RATIONALS.zero()
+        kinds = {type(a), type(b)}
+        for x, y in ((a, b), (b, a)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                try:
+                    expected = op(_plain(x), _plain(y))
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                    continue
+                got = op(x, y)
+                assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+                # closed among Rationals and ints; a plain Fraction operand gives a plain Fraction
+                assert type(got) is (Fraction if Fraction in kinds else Rational)
+                if type(got) is Rational and not got:
+                    assert got is zero
+            for op in (operator.eq, operator.ne, operator.lt):
+                assert op(x, y) is op(_plain(x), _plain(y))
+        for x in (a, b):
+            if type(x) is Rational:
+                neg, ref = -x, _plain(x)
+                assert type(neg) is Rational and _plain(neg) == -ref
+                assert (hash(x), str(x), repr(x), bool(x)) == (hash(ref), str(ref), repr(ref), bool(ref))
+                assert x == ref and ref == x and not x != ref
+
+    def test_the_field_returns_rationals(self):
+        rng = random.Random(3)
+        values = [RATIONALS.zero(), RATIONALS.one(), RATIONALS.element("-2/6"), RATIONALS.element(Fraction(5, 7))]
+        values += [RATIONALS.inv(values[2]), RATIONALS.pow(values[2], -3), RATIONALS.random(rng)]
+        assert all(type(x) is Rational for x in values)
+        assert RATIONALS.zero() is RATIONALS.element(0) and RATIONALS.one() is RATIONALS.one()
 
 
 class TestStructMatrix:

@@ -37,7 +37,7 @@ from sma import (
     spec_from_json,
     verify_automorphism,
 )
-from sma.algebra import grid_add, grid_mul, invert_grid, zero_grid
+from sma.algebra import Rational, grid_add, grid_mul, invert_grid, zero_grid
 from sma.automorphism import _transversals
 from sma.oracle import (
     brute_relation_automorphisms,
@@ -295,7 +295,7 @@ class TestComposeAndApply:
                     assert out == expected
                     for x in (x for row in out for x in row):
                         if field.is_rational:
-                            assert type(x) is Fraction
+                            assert type(x) is Rational
                         else:
                             assert type(x) is int and x in range(field.char)
 

@@ -840,6 +840,19 @@ class TestJsonFixpoint:
             rel = Relation.from_json(json.loads(text))
             assert Relation.from_json(rel.to_json()) == rel
 
+    def test_json_output_builds_no_human_text(self, capsys, monkeypatch):
+        import sma.blockform
+
+        def render(bf):
+            raise AssertionError("the human block grid was built")
+
+        monkeypatch.setattr(sma.blockform, "render_pattern_grid", render)
+        code, out, err = run(capsys, "--json", "blockform", str(GOLDEN / "crown6.json"))
+        assert code == 0, err
+        assert json.loads(out)["pattern"]
+        with pytest.raises(AssertionError, match="human block grid"):  # the patch does reach the human form
+            run(capsys, "blockform", str(GOLDEN / "crown6.json"))
+
     def test_machine_output_is_stable(self, capsys):
         code, out1, _ = run(capsys, "--json", "blockform", str(GOLDEN / "crown6.json"))
         code, out2, _ = run(capsys, "--json", "blockform", str(GOLDEN / "crown6.json"))

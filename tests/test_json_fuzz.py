@@ -114,3 +114,60 @@ def test_parse_json_decodes_or_refuses_any_nesting(depth, opener):
         parse_json(opener * depth + "0" + closer * depth, "nested")
     except ParseError as exc:
         assert str(exc) == "nested: invalid JSON: nesting is too deep"
+
+
+# entries every field reads, and values some field refuses
+WIRE_VALUES = [0, 1, -1, 7, 2**70, "0", "1", "-1", "7", "007"]
+REFUSED = ["3/4", "-2/6", "1/0", "x", "", "1.5", True, False, None, 1.5, []]
+
+
+def _images(field, grids):
+    pairs = VEE3_BLOCK.sorted_pairs()
+    return {"images": [[i, j, {"field": field, "n": 3, "entries": g}] for (i, j), g in zip(pairs, grids)]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["Q", {"GF": 5}]), data=st.data())
+def test_map_decoder_matches_one_parse_per_entry(field, data):
+    """Every image through one shared memo reads as each image parsed on its
+    own, one parse_scalar per entry, or raises that parse's first error."""
+    grids = [data.draw(_rows(st.sampled_from(WIRE_VALUES), 3)) for _ in VEE3_BLOCK.sorted_pairs()]
+    spots = st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), st.sampled_from(REFUSED))
+    for k, r, c, bad in data.draw(st.lists(spots, max_size=3)):
+        grids[k][r][c] = bad
+    obj = _images(field, grids)
+    try:
+        expected = [_reference_grid(mat, 3)[1] for _, _, mat in obj["images"]]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            spec_from_json(obj, VEE3_BLOCK)
+        assert str(raised.value) == str(exc)
+        return
+    images = spec_from_json(obj, VEE3_BLOCK).images()
+    got = [images[pair] for pair in VEE3_BLOCK.sorted_pairs()]
+    assert got == expected
+    assert [[list(map(type, row)) for row in g] for g in got] == [[list(map(type, row)) for row in g] for g in expected]
+    # one wire value, in any image, is one scalar object
+    shared = {}
+    for grid, decoded in zip(grids, got):
+        for row, out in zip(grid, decoded):
+            for v, x in zip(row, out):
+                assert shared.setdefault((type(v), v), x) is x
+
+
+def test_map_decoder_keeps_the_first_error_of_a_later_image():
+    ones = [[1] * 3 for _ in range(3)]
+    grids = [ones] * 5
+    # a bool in a later image does not find the memo slot of 1 from an earlier one
+    with pytest.raises(ParseError, match=r"^Q scalar must be an integer or \"num/den\", got True$"):
+        spec_from_json(_images("Q", grids[:3] + [[[1, True, 1]] * 3] + grids[4:]), VEE3_BLOCK)
+    # a string that fails in a later image is refused there, after every good one, with the parse's message
+    later = [[1, "x", 1], ["1/0", 1, 1], [1, 1, 1]]
+    with pytest.raises(ParseError, match=r"^Q scalar must be an integer or \"num/den\", got 'x'$"):
+        spec_from_json(_images("Q", grids[:4] + [later]), VEE3_BLOCK)
+    later[0][1] = 1
+    with pytest.raises(ParseError, match=r"^not a rational value: '1/0'$"):
+        spec_from_json(_images("Q", grids[:4] + [later]), VEE3_BLOCK)
+    # a bad string ahead of a bool in its row raises first
+    with pytest.raises(ParseError, match=r"^not a rational value: '1/0'$"):
+        spec_from_json(_images("Q", grids[:4] + [[["1/0", True, 1]] * 3]), VEE3_BLOCK)
