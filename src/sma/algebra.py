@@ -6,7 +6,8 @@ another `Rational` or an int takes a direct path: one gcd on the raw numerator
 and denominator, and the result built without Fraction's constructor.  Both
 kinds support the native + and * operators, so matrix kernels accumulate with
 ordinary arithmetic and reduce once per entry; division and inversion go
-through the `Field` descriptor.  No floating point is used anywhere.
+through the `Field` descriptor, and every value becomes a scalar through
+`Field.element`, by the file grammar.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ SparseRow = dict[int, Scalar]  # column -> nonzero value
 MAX_CHAR = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Rational strings parse_scalar accepts (INTEGER over GF(p)); Fraction alone would
+# Rational strings Field.element accepts (INTEGER over GF(p)); Fraction alone would
 # also take decimals and exponents, and expand "1e100000000" digit by digit.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -180,18 +181,22 @@ class Field:
         return _Q_ONE if self.char is None else 1
 
     def element(self, value) -> Scalar:
-        """Canonical scalar from an int, Fraction, or string; floats are rejected."""
-        if isinstance(value, float):
-            raise ValueError("floating-point values are not exact; use ints or 'num/den' strings")
-        if self.char is None:
+        """The scalar of an int, a Fraction (integral over GF(p)) or a string of the file
+        grammar, INTEGER and over Q also "num/den"; anything else is a ValueError."""
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            num, den = value.numerator, value.denominator
+        elif isinstance(value, str) and (INTEGER if self.char else _RATIONAL).fullmatch(value):
+            num, _, den = value.partition("/")
             try:
-                return Rational(value) or _Q_ZERO
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"not a rational value: {value!r}") from exc
-        try:
-            return int(value) % self.char
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"not a {self.name} value: {value!r}") from exc
+                num, den = int(num), int(den or 1)
+            except ValueError:  # over int()'s digit limit
+                den = 0
+        else:
+            what = "an integer" if self.char else 'an integer or "num/den"'
+            raise ValueError(f"{self.name} scalar must be {what}, got {value!r}")
+        if not den or self.char and den != 1:
+            raise ValueError(f"not a {self.name if self.char else 'rational'} value: {value!r}")
+        return num % self.char if self.char else _div(num, 1, den, 1)
 
     def reduce(self, value: Scalar) -> Scalar:
         return value if self.char is None else value % self.char
@@ -210,11 +215,10 @@ class Field:
         return self.reduce(a * self.inv(b))
 
     def pow(self, value: Scalar, exponent: int) -> Scalar:
-        if self.char is None:
-            return Rational(Fraction(value) ** exponent) or _Q_ZERO
-        if exponent < 0 and value % self.char == 0:
-            raise ZeroDivisionError(f"division by zero in {self.name}")
-        return pow(value, exponent, self.char)
+        value = self.element(value)
+        if exponent < 0:
+            value, exponent = self.inv(value), -exponent
+        return self.element(value**exponent) if self.char is None else pow(value, exponent, self.char)
 
     def random(self, rng) -> Scalar:
         if self.char is None:
@@ -246,18 +250,11 @@ class Field:
         return str(value) if self.char is None else int(value)
 
     def parse_scalar(self, obj) -> Scalar:
-        """A scalar read from JSON: an int or a string of digits with an optional
-        minus sign, over Q also "num/den"; anything else is a ParseError."""
-        grammar, what = (_RATIONAL, 'an integer or "num/den"') if self.char is None else (INTEGER, "an integer")
-        if isinstance(obj, bool) or not (isinstance(obj, int) or isinstance(obj, str) and grammar.fullmatch(obj)):
-            raise ParseError(f"{self.name} scalar must be {what}, got {obj!r}")
+        """A scalar read from JSON: `element`, its refusal a ParseError."""
         try:
-            if self.char is None and isinstance(obj, str):  # built from the digits the grammar matched
-                num, _, den = obj.partition("/")
-                return _div(int(num), 1, int(den or 1), 1)
             return self.element(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(str(exc) if self.char else f"not a rational value: {obj!r}") from exc
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
 
 
 RATIONALS = Field(None)
@@ -284,10 +281,6 @@ def identity_grid(field: Field, n: int) -> Grid:
 
 def grid_add(field: Field, a: Grid, b: Grid) -> Grid:
     return tuple(tuple(field.reduce(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def grid_sub(field: Field, a: Grid, b: Grid) -> Grid:
-    return tuple(tuple(field.reduce(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def sparse_rows(b: Grid) -> SparseRows:
@@ -464,10 +457,6 @@ class StructMatrix:
     def __add__(self, other: StructMatrix) -> StructMatrix:
         self._check_compatible(other)
         return StructMatrix(self.field, self.pattern, grid_add(self.field, self.rows, other.rows))
-
-    def __sub__(self, other: StructMatrix) -> StructMatrix:
-        self._check_compatible(other)
-        return StructMatrix(self.field, self.pattern, grid_sub(self.field, self.rows, other.rows))
 
     def __mul__(self, other: StructMatrix) -> StructMatrix:
         self._check_compatible(other)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterator
 
 from .algebra import (
@@ -63,7 +64,7 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
     """All automorphisms of the quasi-order rel, in lexicographic order of the image tuple.
 
     Every automorphism is exactly one product u_1 . u_2 . ... . u_n of one
-    element per level of a stabilizer chain (Sims 1970; see `_transversals`),
+    element per level of a stabilizer chain (Sims 1970; see `stabilizer_chain`),
     whose searches visit no more nodes than one backtracking search over the
     whole group.  The listing then costs |Aut(R)| products of O(n) each, plus
     one sort of the image tuples.  It can hold n! maps, so `bound` (default:
@@ -71,12 +72,8 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
     BoundExceeded is raised.
     """
     n = rel.n
-    if bound is None:
-        bound = size_bound(DEFAULT_ENUMERATION_BOUND)
-    if n > int(bound):
-        raise BoundExceeded(f"n = {n} exceeds the enumeration bound (set SMA_MAX_N to raise it)")
     images = [tuple(range(1, n + 1))]
-    for level in reversed(_transversals(rel)):
+    for level in reversed(stabilizer_chain(rel, bound)):
         # products u . p of this level's u and the later levels' p; the identity,
         # first in the level, contributes `images` itself.  A leading 0 makes u[x] u(x).
         padded = [(0,) + u for u in level[1:]]
@@ -86,10 +83,22 @@ def enumerate_relation_automorphisms(rel: Relation, bound=None) -> tuple[Permuta
     return tuple(Permutation._unchecked(n, image) for image in images)
 
 
-def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:
+def listed_automorphism(chain: list[list[tuple[int, ...]]], k: int) -> Permutation:
+    """Entry k of `enumerate_relation_automorphisms`' listing, without listing: u_1 . ... . u_n
+    sends i where the prefix u_1 . ... . u_{i-1} sends u_i(i), so with each level ordered by that
+    image, k's mixed-radix digits in the level sizes, most significant first, pick the u_i."""
+    prefix = tuple(range(1, len(chain) + 1))
+    for i, level in enumerate(chain):
+        digit, k = divmod(k, prod(map(len, chain[i + 1:])))
+        u = sorted(level, key=lambda v: prefix[v[i] - 1])[digit]
+        prefix = tuple(prefix[x - 1] for x in u)
+    return Permutation._unchecked(len(chain), prefix)
+
+
+def stabilizer_chain(rel: Relation, bound=None) -> list[list[tuple[int, ...]]]:
     """A stabilizer chain of Aut(rel) with base 1..n: for each base point i, the
     images of one automorphism per point j of i's orbit under the maps fixing
-    1..i-1, sending i to j, with the identity first.
+    1..i-1, sending i to j, with the identity first; `bound` limits n as for the listing.
 
     Each is the first leaf of a backtracking search in which every unplaced
     element keeps a bitmask domain of images, seeded from its (out-degree,
@@ -99,8 +108,10 @@ def _transversals(rel: Relation) -> list[list[tuple[int, ...]]]:
     assignment, so together they visit no more of its nodes than a search for
     the whole group would.
     """
-    rel.require_quasi_order()
     n = rel.n
+    if n > (size_bound(DEFAULT_ENUMERATION_BOUND) if bound is None else bound):
+        raise BoundExceeded(f"n = {n} exceeds the enumeration bound (set SMA_MAX_N to raise it)")
+    rel.require_quasi_order()
     # out_rows[i] & in_rows[i] is i's class
     out_rows, in_rows = rel.out_rows, rel.in_rows
     signature = [

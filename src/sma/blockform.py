@@ -158,8 +158,7 @@ def _default_class_order(dag: CondensationDAG) -> list[int]:
 
 
 def _check_override(order: Sequence[int], part: ClassPartition, dag: CondensationDAG) -> list[int]:
-    order = [int(k) for k in order]
-    if sorted(order) != list(range(part.p)):
+    if any(type(k) is not int for k in order) or sorted(order) != list(range(part.p)):
         raise InvalidOverride(f"override must list each of the {part.p} classes exactly once")
     reps = part.representatives
     pos = {k: t for t, k in enumerate(order)}

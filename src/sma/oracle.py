@@ -7,8 +7,8 @@ ranks come from the raw unreduced constraint system with a local elimination
 routine, quasi-orders are enumerated by filtering every off-diagonal pair
 subset, and maps are verified by multiplying every pair of basis images.
 The random_* generators are not independent: they draw from the library's
-cocycle basis, relation-automorphism listing and scaling-function group
-operations.
+cocycle basis, relation-automorphism stabilizer chain and scaling-function
+group operations.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ from .algebra import (
 from .automorphism import (
     AutomorphismSpec,
     FactoredAutomorphism,
-    enumerate_relation_automorphisms,
+    enumerate_relation_automorphisms,  # noqa: F401  not called here; kept as a name tracing can rebind
+    listed_automorphism,
     size_bound,
+    stabilizer_chain,
 )
 from .blockform import Permutation
 from .errors import BoundExceeded, Singular
@@ -217,7 +219,7 @@ def random_transitive_fn(rel: Relation, field: Field, rng: random.Random) -> Tra
     for vector in basis.vectors:
         power = rng.randint(-3, 3)
         base = rng.choice(_RATIONAL_BASES) if field.is_rational else rng.randrange(1, field.char)
-        power_of_generator = exponential(rel, field, basis.pairs, vector, field.pow(field.element(base), power))
+        power_of_generator = exponential(rel, field, basis.pairs, vector, field.pow(base, power))
         g = g.pointwise_mul(power_of_generator)
     return g
 
@@ -225,13 +227,13 @@ def random_transitive_fn(rel: Relation, field: Field, rng: random.Random) -> Tra
 def random_factored_automorphism(rel: Relation, field: Field, seed: int) -> FactoredAutomorphism:
     """Deterministic-in-seed factored automorphism with all three parts random.
 
-    The relation automorphisms are listed before anything is drawn, so a
+    tau is read off the stabilizer chain, built before anything is drawn, so a
     relation over the enumeration bound raises BoundExceeded at once;
     random_invertible refuses a conjugator that is unlikely to be invertible."""
     rel.require_quasi_order()
-    taus = enumerate_relation_automorphisms(rel)
+    chain = stabilizer_chain(rel)
     rng = random.Random(seed)
     conjugator = random_invertible(rel, field, rng)
-    tau = taus[rng.randrange(len(taus))]
+    tau = listed_automorphism(chain, rng.randrange(prod(map(len, chain))))
     scaling = random_transitive_fn(rel, field, rng)
     return FactoredAutomorphism(conjugator, scaling, tau)

@@ -71,7 +71,7 @@ def json_int(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class Relation:
-    """Binary relation on {1..n}, stored as a set of ordered 1-based pairs."""
+    """Binary relation on {1..n}, stored as a set of ordered 1-based pairs of ints."""
 
     n: int
     pairs: frozenset[tuple[int, int]]
@@ -80,12 +80,12 @@ class Relation:
         if self.n < 1:
             raise ValueError("ground set must contain at least one element")
         for i, j in self.pairs:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"pair ({i},{j}) out of range 1..{self.n}")
+            if not (type(i) is int and type(j) is int and 1 <= i <= self.n and 1 <= j <= self.n):
+                raise ValueError(f"pair ({i!r},{j!r}) out of range 1..{self.n}")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Sequence[int]]) -> Relation:
-        return cls(n, frozenset((int(i), int(j)) for i, j in pairs))
+        return cls(n, frozenset((i, j) for i, j in pairs))
 
     @classmethod
     def identity(cls, n: int) -> Relation:

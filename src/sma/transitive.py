@@ -60,8 +60,7 @@ class TransitiveFn:
         nonzero, and any explicitly given diagonal value must be 1.
         """
         complete = dict.fromkeys(relation.sorted_pairs(), field.one())
-        for pair, raw in values.items():
-            complete[(int(pair[0]), int(pair[1]))] = field.element(raw)
+        complete.update((pair, field.element(raw)) for pair, raw in values.items())
         return cls(relation, field, tuple(sorted(complete.items())))
 
     @classmethod
@@ -138,11 +137,10 @@ def coboundary(relation: Relation, field: Field, scaling: Iterable) -> Transitiv
 
 def exponential(relation: Relation, field: Field, pairs, exponents, base) -> TransitiveFn:
     """base**e(i,j) on each off-diagonal pair, from an integer exponent vector."""
-    b = field.element(base)
     vals = dict.fromkeys(relation.sorted_pairs(), field.one())
     for pair, e in zip(pairs, exponents):
         if e:
-            vals[pair] = field.pow(b, int(e))  # a pair outside the relation goes last, and is refused
+            vals[pair] = field.pow(base, e)  # a pair outside the relation goes last, and is refused
     return TransitiveFn(relation, field, tuple(vals.items()))
 
 

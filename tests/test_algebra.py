@@ -56,6 +56,36 @@ class TestField:
         with pytest.raises(ValueError):
             RATIONALS.element(0.5)
 
+    def test_a_value_is_read_by_the_file_grammar(self):
+        for field in (RATIONALS, gf(5)):
+            for bad in (" 0.5 ", "1_0", "+3", "\u0663", "1.5", "1e3", True, 0.5, None):
+                with pytest.raises(ValueError, match="scalar must be"):
+                    field.element(bad)
+            assert field.element(4) == 4 and type(field.element(4)) is type(field.one())
+        assert RATIONALS.element("3/6") == Fraction(1, 2)
+        assert gf(5).element(Fraction(6, 3)) == 2 and gf(5).element("-7") == 3
+
+    def test_gf_refuses_a_fraction_that_is_not_an_integer(self, vee3_block):
+        with pytest.raises(ValueError, match=r"^not a GF\(5\) value: Fraction\(3, 2\)$"):
+            gf(5).element(Fraction(3, 2))
+        with pytest.raises(ValueError):
+            StructMatrix.from_values(gf(5), vee3_block, {(1, 3): Fraction(1, 2)})
+
+    def test_an_exponent_string_is_refused_at_once(self):
+        for field in (RATIONALS, gf(5)):
+            start = time.process_time()
+            with pytest.raises(ValueError, match="scalar must be"):
+                field.element("1e10000000")
+            assert time.process_time() - start < 0.1
+
+    def test_pow_reads_its_value_through_element(self):
+        x = RATIONALS.pow("2/3", -2)
+        assert x == Fraction(9, 4) and type(x) is Rational
+        assert gf(5).pow("2", -1) == 3
+        for field in (RATIONALS, gf(5)):
+            with pytest.raises(ValueError):
+                field.pow("1e5", 2)
+
     def test_gf_reduction_and_inverse(self):
         F = gf(5)
         assert F.element(7) == 2

@@ -38,7 +38,7 @@ from sma import (
     verify_automorphism,
 )
 from sma.algebra import Rational, grid_add, grid_mul, invert_grid, zero_grid
-from sma.automorphism import _transversals
+from sma.automorphism import listed_automorphism, stabilizer_chain
 from sma.oracle import (
     brute_relation_automorphisms,
     random_factored_automorphism,
@@ -130,7 +130,7 @@ class TestEnumeration:
         assert all(a < b for a, b in zip(images, images[1:]))
         assert all(is_relation_automorphism(rel, tau) for tau in autos)
         # one product per choice of one transversal element per level
-        assert prod(len(level) for level in _transversals(rel)) == count
+        assert prod(len(level) for level in stabilizer_chain(rel, bound=rel.n)) == count
 
     @pytest.mark.parametrize(
         "rel",
@@ -142,6 +142,49 @@ class TestEnumeration:
         everything = list(range(1, rel.n + 1))
         for tau in enumerate_relation_automorphisms(rel, bound=rel.n):
             assert tau.n == rel.n and sorted(tau.image) == everything
+
+
+    @pytest.mark.parametrize(
+        "n, extra, branches",
+        [
+            (5, [(1, 2), (3, 4), (5, 4)], {"narrowed to nothing", "pruned branch"}),
+            (7, [(1, 3), (4, 6), (5, 2), (5, 3), (7, 6)], {"narrowed to nothing", "pruned branch", "exhausted loop"}),
+        ],
+        ids=["poset5", "poset7"],
+    )
+    def test_pruned_searches_match_brute_force(self, monkeypatch, n, extra, branches):
+        rel = Relation.from_pairs(n, [(i, i) for i in range(1, n + 1)] + extra)
+        seen = set()
+        narrow, first_leaf = automorphism._narrow, automorphism._first_leaf
+
+        def spy_narrow(*args):
+            out = narrow(*args)
+            if out is None:
+                seen.add("narrowed to nothing")
+            return out
+
+        def spy_first_leaf(i, domains, *rows):
+            out = first_leaf(i, domains, *rows)
+            if out is None:
+                seen.add("pruned branch" if domains is None else "exhausted loop")
+            return out
+
+        monkeypatch.setattr(automorphism, "_narrow", spy_narrow)
+        monkeypatch.setattr(automorphism, "_first_leaf", spy_first_leaf)
+        autos = enumerate_relation_automorphisms(rel)
+        assert autos == brute_relation_automorphisms(rel) and len(autos) == 2
+        assert seen == branches
+
+    @pytest.mark.parametrize(
+        "rels",
+        [[rel for n in range(1, 5) for rel in enumerate_quasiorders(n)], [crown(3), crown(4)], [Relation.full(5), Relation.full(6)]],
+        ids=["sweep4", "crowns", "full"],
+    )
+    def test_an_entry_is_read_off_the_chain(self, rels):
+        for rel in rels:
+            autos = enumerate_relation_automorphisms(rel, bound=rel.n)
+            chain = stabilizer_chain(rel, bound=rel.n)
+            assert [listed_automorphism(chain, k) for k in range(len(autos))] == list(autos)
 
 
 class TestPermutationSimilarity:

@@ -88,6 +88,12 @@ class TestBuildBlockForm:
         with pytest.raises(InvalidOverride):
             build_block_form(crown6, class_order_override=(0, 0, 1, 2))
 
+    def test_override_entries_must_be_ints(self, crown6):
+        assert build_block_form(crown6, class_order_override=[0, 3, 1, 2]).block_sizes == (1, 2, 2, 1)
+        for order in ([0.2, 3.9, 1, 2], [0.0, 3.0, 1, 2], [False, 3, 1, 2]):
+            with pytest.raises(InvalidOverride):
+                build_block_form(crown6, class_order_override=order)
+
     def test_override_must_extend_condensation(self, crown6):
         # class {2,3} is above class {1}, so it cannot come first
         with pytest.raises(InvalidOverride):

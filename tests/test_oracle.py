@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,14 @@ class TestRandomSpecs:
         with pytest.raises(BoundExceeded):
             oracle.random_invertible(chain(14), gf(2), None)
         assert oracle.MAX_EXPECTED_DRAWS == 10_000
+
+    def test_tau_is_drawn_from_a_large_group_without_listing_it(self, monkeypatch):
+        # Aut of the full relation on 13 elements has 13! members
+        monkeypatch.setenv("SMA_MAX_N", "24")
+        start = time.process_time()
+        phi = random_factored_automorphism(Relation.full(13), RATIONALS, 1)
+        assert time.process_time() - start < 5
+        assert sorted(phi.permutation.image) == list(range(1, 14))
 
     @pytest.mark.parametrize("name, seed", sorted(PINNED_MAPS))
     def test_seeded_maps_are_pinned(self, name, seed):

@@ -70,6 +70,13 @@ class TestValidate:
         with pytest.raises(ValueError):
             Relation.from_pairs(3, [(1, 4)])
 
+    def test_pairs_must_hold_ints(self):
+        for bad in (2.7, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="out of range"):
+                Relation.from_pairs(3, [(1, 1), (2, bad)])
+            with pytest.raises(ValueError, match="out of range"):
+                Relation(3, frozenset({(bad, 1)}))
+
 
 class TestClosure:
     def test_chain_closes(self):

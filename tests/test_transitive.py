@@ -26,7 +26,7 @@ from sma import (
     triviality_witness,
     verify_automorphism,
 )
-from sma.oracle import random_transitive_fn
+from sma.oracle import brute_cocycle_rank, random_transitive_fn
 from sma.transitive import exponential
 
 
@@ -77,6 +77,8 @@ class TestCheckTransitive:
     def test_domain_and_value_validation(self, vee3_block):
         with pytest.raises(Mismatch):
             TransitiveFn.build(vee3_block, RATIONALS, {(3, 1): 2})
+        with pytest.raises(Mismatch):  # not read as (1, 3)
+            TransitiveFn.build(vee3_block, RATIONALS, {(1, 3.5): 2})
         with pytest.raises(ValueError):
             TransitiveFn.build(vee3_block, RATIONALS, {(1, 3): 0})
         with pytest.raises(ValueError):
@@ -192,6 +194,20 @@ class TestCocycleRank:
         basis = cocycle_rank(crown6_block)
         assert basis.rank == 1
         assert basis.exponents(0) == {(1, 4): 1}
+
+    def test_generator_with_a_negative_leading_entry_is_flipped(self):
+        # elimination leaves this generator as (-1, 0, 1, 0, 1, 0, 0, 0); it is
+        # scaled so its first nonzero entry is positive
+        extra = [(1, 2), (1, 5), (3, 1), (3, 2), (3, 5), (3, 6), (4, 5), (4, 6)]
+        rel = Relation.from_pairs(6, [(i, i) for i in range(1, 7)] + extra)
+        basis = cocycle_rank(rel)
+        assert basis.rank == 1 == brute_cocycle_rank(rel)
+        assert basis.pairs == tuple(extra)
+        assert basis.vectors == ((1, 0, -1, 0, -1, 0, 0, 0),)
+        for field in (RATIONALS, gf(5)):
+            g = exponential(rel, field, basis.pairs, basis.vectors[0], 2)
+            assert check_transitive(g).ok
+            assert isinstance(triviality_witness(g), ViolatingCycle)
 
     def test_identity_relation_is_rank_zero(self):
         assert cocycle_rank(Relation.identity(4)).rank == 0
