@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import Mismatch, OffPattern, ParseError, Singular
-from .relation import INTEGER, Relation, json_int
+from .relation import INTEGER, Relation, check_pair, json_int
 
 Scalar = Union[Fraction, int]  # a Rational over Q; a plain Fraction is accepted and gives equal results
 Grid = tuple[tuple[Scalar, ...], ...]
@@ -445,6 +445,7 @@ class StructMatrix:
         zero = field.zero()
         grid = [[zero] * n for _ in range(n)]
         for (i, j), v in values.items():
+            check_pair(i, j, n)
             grid[i - 1][j - 1] = field.element(v)
         return cls(field, pattern, tuple(tuple(r) for r in grid))
 

@@ -159,15 +159,32 @@ def _narrow(domains: list[int], i: int, j: int, out_rows: tuple[int, ...], in_ro
 
 def _first_leaf(i: int, domains, out_rows: tuple[int, ...], in_rows: tuple[int, ...]):
     """The least images of i..n within the domains that leave none empty, or
-    None; domains is None for a branch already pruned."""
+    None; domains is None for a branch already pruned.  Depth first, with one
+    stack entry per placed element rather than one call, so the depth is not
+    bounded by the interpreter's recursion limit."""
     if domains is None:
         return None
     if i == len(domains):
         return ()
-    for j in set_bits(domains[i]):
-        rest = _first_leaf(i + 1, _narrow(domains, i, j, out_rows, in_rows), out_rows, in_rows)
-        if rest is not None:
-            return (j,) + rest
+    # stack[d]: the domains element i + d is placed under and its untried images
+    stack = [(domains, set_bits(domains[i]))]
+    images: list[int] = []  # the images of i .. i + len(stack) - 2
+    while stack:
+        k = i + len(stack) - 1
+        doms, untried = stack[-1]
+        j = next(untried, None)
+        if j is None:
+            stack.pop()
+            if images:
+                images.pop()
+            continue
+        narrowed = _narrow(doms, k, j, out_rows, in_rows)
+        if narrowed is None:
+            continue
+        images.append(j)
+        if k + 1 == len(domains):
+            return tuple(images)
+        stack.append((narrowed, set_bits(narrowed[k + 1])))
     return None
 
 

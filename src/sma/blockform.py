@@ -28,7 +28,11 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.image) != self.n or sorted(self.image) != list(range(1, self.n + 1)):
+        if (
+            len(self.image) != self.n
+            or any(type(x) is not int for x in self.image)  # sorted() would take 1.0 for 1
+            or sorted(self.image) != list(range(1, self.n + 1))
+        ):
             raise ValueError(f"not a bijection of 1..{self.n}: {self.image}")
 
     @classmethod

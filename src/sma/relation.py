@@ -69,6 +69,13 @@ def json_int(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
+def check_pair(i, j, n: int) -> None:
+    """ValueError unless i and j are ints (bool excluded) in 1..n; callers check
+    a pair before a set or dict can merge it with an equal one, (1, True) with (1, 1)."""
+    if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"pair ({i!r},{j!r}) out of range 1..{n}")
+
+
 @dataclass(frozen=True)
 class Relation:
     """Binary relation on {1..n}, stored as a set of ordered 1-based pairs of ints."""
@@ -80,12 +87,14 @@ class Relation:
         if self.n < 1:
             raise ValueError("ground set must contain at least one element")
         for i, j in self.pairs:
-            if not (type(i) is int and type(j) is int and 1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"pair ({i!r},{j!r}) out of range 1..{self.n}")
+            check_pair(i, j, self.n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Sequence[int]]) -> Relation:
-        return cls(n, frozenset((i, j) for i, j in pairs))
+        pairs = [(i, j) for i, j in pairs]
+        for i, j in pairs:
+            check_pair(i, j, n)
+        return cls(n, frozenset(pairs))
 
     @classmethod
     def identity(cls, n: int) -> Relation:
@@ -403,23 +412,18 @@ def _condensation(rel: Relation) -> CondensationDAG:
 @dataclass(frozen=True)
 class Forest:
     tree_edges: frozenset[tuple[int, int]]      # stored as (min, max)
-    order: tuple[tuple[int, int], ...]          # (parent, child) in propagation order
+    parent: dict[int, int]                      # child -> parent, in breadth-first order
     roots: tuple[int, ...]                      # each component's minimum, ascending
-
-
-def comparability_edges(rel: Relation) -> tuple[tuple[int, int], ...]:
-    """Undirected edges {i,j}, i < j, with at least one direction related."""
-    edges = {(min(i, j), max(i, j)) for i, j in rel.pairs if i != j}
-    return tuple(sorted(edges))
 
 
 def _forest(rel: Relation) -> Forest:
     """Deterministic spanning forest of the comparability graph (Relation.forest).
 
-    Edges are taken greedily in descending (i,j) order, so the pairs left out
-    of the forest (where free cocycle parameters live) are the
-    lexicographically earliest ones.  Each component is rooted at its minimum
-    vertex and traversed breadth-first for propagation.
+    Its edges {i,j}, i < j, one per pair related in at least one direction, are
+    taken greedily in descending (i,j) order, so the pairs left out of the
+    forest (where free cocycle parameters live) are the lexicographically
+    earliest ones.  Each component is rooted at its minimum vertex and walked
+    breadth-first, each vertex recording its parent as the walk reaches it.
     """
     n = rel.n
     parent_uf = list(range(n + 1))
@@ -431,30 +435,25 @@ def _forest(rel: Relation) -> Forest:
         return x
 
     tree: set[tuple[int, int]] = set()
-    for i, j in reversed(comparability_edges(rel)):
+    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in rel.pairs if i != j}, reverse=True):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent_uf[ri] = rj
             tree.add((i, j))
+            adjacency[i].append(j)
+            adjacency[j].append(i)
 
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in tree:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-
-    seen: set[int] = set()
+    parent: dict[int, int] = {}
     roots: list[int] = []
-    order: list[tuple[int, int]] = []
     for root in range(1, n + 1):
-        if root in seen:
+        if root in parent:
             continue
+        roots.append(root)
         comp = [root]
-        seen.add(root)
         for u in comp:  # breadth-first: comp grows while it is walked
             for v in sorted(adjacency[u]):
-                if v not in seen:
-                    seen.add(v)
+                if v != root and v not in parent:
+                    parent[v] = u
                     comp.append(v)
-                    order.append((u, v))
-        roots.append(root)
-    return Forest(frozenset(tree), tuple(order), tuple(roots))
+    return Forest(frozenset(tree), parent, tuple(roots))

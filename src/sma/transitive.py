@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import Mismatch, NotTransitive, ParseError
 from .algebra import RATIONALS, Echelon, Field, Scalar
-from .relation import Forest, Relation, ValidationReport, capped_violations, json_int, set_bits
+from .relation import Relation, ValidationReport, capped_violations, json_int, set_bits
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,10 @@ class TransitiveFn:
         nonzero, and any explicitly given diagonal value must be 1.
         """
         complete = dict.fromkeys(relation.sorted_pairs(), field.one())
-        complete.update((pair, field.element(raw)) for pair, raw in values.items())
+        for (i, j), raw in values.items():
+            if type(i) is not int or type(j) is not int:  # (1, 3.0) would set (1, 3)
+                raise Mismatch(f"value given for ({i!r},{j!r}), which is not in the relation")
+            complete[i, j] = field.element(raw)
         return cls(relation, field, tuple(sorted(complete.items())))
 
     @classmethod
@@ -201,44 +204,35 @@ class ViolatingCycle:
     product: Scalar
 
 
-def _propagate_scaling(g: TransitiveFn, forest: Forest) -> tuple[Scalar, ...]:
+def canonicalize(g: TransitiveFn) -> tuple[ScalingVector, TransitiveFn]:
+    """Split g = coboundary(s) * canonical, the canonical part 1 on the forest.
+
+    s is 1 at each root and propagates down the forest's parent map, parents
+    first.  The canonical part depends only on the cocycle class of g, so two
+    transitive functions differing by a coboundary canonicalize identically.
+    """
     rel, fld = g.relation, g.field
-    s: dict[int, Scalar] = {root: fld.one() for root in forest.roots}
-    for u, v in forest.order:
+    forest = rel.forest
+    s = dict.fromkeys(forest.roots, fld.one())
+    for v, u in forest.parent.items():
         if (u, v) in rel.pairs:
             s[v] = fld.div(s[u], g(u, v))       # g(u,v) = s(u)/s(v)
         else:
             s[v] = fld.reduce(g(v, u) * s[u])   # g(v,u) = s(v)/s(u)
-    return tuple(s[i] for i in range(1, rel.n + 1))
-
-
-def canonicalize(g: TransitiveFn) -> tuple[ScalingVector, TransitiveFn]:
-    """Split g = coboundary(s) * canonical, the canonical part 1 on the forest.
-
-    The canonical part depends only on the cocycle class of g, so two
-    transitive functions differing by a coboundary canonicalize identically.
-    """
-    fld = g.field
-    s = _propagate_scaling(g, g.relation.forest)
-    canonical = g.pointwise_mul(coboundary(g.relation, fld, map(fld.inv, s)))
-    return ScalingVector(fld, s), canonical
-
-
-def _tree_path_to_root(v: int, parents: dict[int, int]) -> list[int]:
-    path = [v]
-    while path[-1] in parents:
-        path.append(parents[path[-1]])
-    return path
+    scaling = tuple(s[i] for i in range(1, rel.n + 1))
+    canonical = g.pointwise_mul(coboundary(rel, fld, map(fld.inv, scaling)))
+    return ScalingVector(fld, scaling), canonical
 
 
 def triviality_witness(g: TransitiveFn) -> Union[ScalingVector, ViolatingCycle]:
     """Either a scaling s with g(i,j) = s(i)/s(j) everywhere, or a violating cycle.
 
-    Reads canonicalize: s is its scaling, and the first pair (in sorted
+    Reads canonicalize: s is its scaling, and the first pair (i,j) (in sorted
     order) where the canonical part is not 1 closes a walk through the
-    spanning forest.  The coboundary of s cancels around the closed walk and
-    the canonical part is 1 on every forest edge, so the walk's oriented
-    product is the canonical value at that pair.
+    spanning forest: i, j, up to the vertex where the forest paths from i and
+    j to their root meet, and down to i.  The coboundary of s cancels around
+    the closed walk and the canonical part is 1 on every forest edge, so the
+    walk's oriented product is the canonical value at that pair.
     """
     g.require_transitive()
     s, canonical = canonicalize(g)
@@ -248,20 +242,15 @@ def triviality_witness(g: TransitiveFn) -> Union[ScalingVector, ViolatingCycle]:
         return s
 
     (i, j), product = bad
-    parents = {child: parent for parent, child in g.relation.forest.order}
-    path_i = _tree_path_to_root(i, parents)
-    path_j = _tree_path_to_root(j, parents)
-    shared = 0
-    while (
-        shared < min(len(path_i), len(path_j))
-        and path_i[-1 - shared] == path_j[-1 - shared]
-    ):
-        shared += 1
-    walk = [i, j]
-    walk.extend(path_j[1 : len(path_j) - shared + 1])        # j up to the meeting vertex
-    down = list(reversed(path_i[: len(path_i) - shared + 1]))  # meeting vertex back to i
-    walk.extend(down[1:])
-    return ViolatingCycle(tuple(walk), product)
+    parent = g.relation.forest.parent
+    up_i = [i]  # i and its ancestors, up to the root
+    while up_i[-1] in parent:
+        up_i.append(parent[up_i[-1]])
+    steps = {v: k for k, v in enumerate(up_i)}  # each of those vertices' steps above i
+    up_j = [j]  # j and its ancestors, up to the first one above i: the meeting vertex
+    while up_j[-1] not in steps:
+        up_j.append(parent[up_j[-1]])
+    return ViolatingCycle((i, *up_j, *reversed(up_i[: steps[up_j[-1]]])), product)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +323,7 @@ def cocycle_rank(rel: Relation) -> CocycleBasis:
     # One column per comparable class pair, counting down from the last pair,
     # so that each stored row's pivot is the free column that row belongs to.
     last = [members[-1] for members in part.classes]
-    edges = [(a, b) for a, above in enumerate(dag.successors) for b in above]
-    by_last = sorted(edges, key=lambda ab: (last[ab[0]], last[ab[1]]), reverse=True)
+    by_last = sorted(dag.edges, key=lambda ab: (last[ab[0]], last[ab[1]]), reverse=True)
     column = {ab: col for col, ab in enumerate(by_last)}
     # spots[col]: the positions in all_pairs of that column's pairs
     spots: list[list[int]] = [[] for _ in by_last]

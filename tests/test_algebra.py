@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -71,6 +72,13 @@ class TestField:
         with pytest.raises(ValueError):
             StructMatrix.from_values(gf(5), vee3_block, {(1, 3): Fraction(1, 2)})
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads a string of any length")
+    def test_digits_over_the_limit_are_refused(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for field, text in ((RATIONALS, digits), (RATIONALS, "1/" + digits), (gf(5), digits)):
+            with pytest.raises(ValueError, match="not a (rational|GF\\(5\\)) value"):
+                field.element(text)
+
     def test_an_exponent_string_is_refused_at_once(self):
         for field in (RATIONALS, gf(5)):
             start = time.process_time()
@@ -92,6 +100,9 @@ class TestField:
         assert F.inv(2) == 3
         assert F.pow(2, -1) == 3
         assert F.pow(3, 4) == 1
+        for field in (F, RATIONALS):
+            with pytest.raises(ZeroDivisionError, match="division by zero"):
+                field.inv(field.zero())
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +244,21 @@ class TestStructMatrix:
         with pytest.raises(OffPattern):
             StructMatrix.from_values(RATIONALS, vee3, {(2, 1): 1})
 
+    def test_a_grid_of_the_wrong_shape_is_refused(self, vee3):
+        for rows in (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+            with pytest.raises(ValueError, match="expected a 3x3 grid"):
+                StructMatrix(RATIONALS, vee3, rows)
+
+    def test_an_index_outside_1_to_n_is_refused_before_writing(self):
+        # (0, 1) and (-1, 2) used to land at (3, 1) and (2, 2); (4, 1) and (1.0, 1) escaped
+        # as IndexError and TypeError
+        full3 = Relation.full(3)
+        for key in ((0, 1), (-1, 2), (4, 1), (1, 4), (1.0, 1), (True, 1), ("1", 1)):
+            with pytest.raises(ValueError, match=r"pair \(.*\) out of range 1..3"):
+                StructMatrix.from_values(RATIONALS, full3, {key: 1})
+        with pytest.raises(ValueError, match="out of range"):
+            matrix_unit(full3, RATIONALS, 1.0, 1)
+
     def test_matrix_unit_on_and_off_pattern(self, crown6_block, vee3_block):
         e = matrix_unit(crown6_block, RATIONALS, 1, 4)
         assert e.entry(1, 4) == 1
@@ -326,6 +352,13 @@ class TestInverse:
             for _ in range(10):
                 A = random_invertible(sym6, field, rng)
                 assert A.inverse().inverse() == A
+
+    def test_an_inverse_off_a_non_transitive_pattern_is_refused(self):
+        # 1 -> 2 -> 3 without (1, 3): the inverse of I + E12 + E23 holds E13
+        path = Relation.from_pairs(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
+        m = StructMatrix.from_values(RATIONALS, path, {(1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 2): 1, (2, 3): 1})
+        with pytest.raises(OffPattern, match="inverse left the pattern"):
+            m.inverse()
 
     def test_singular_matrix_raises(self, vee3_block):
         zero = StructMatrix.from_values(RATIONALS, vee3_block, {})

@@ -148,7 +148,9 @@ class TestEnumeration:
         "n, extra, branches",
         [
             (5, [(1, 2), (3, 4), (5, 4)], {"narrowed to nothing", "pruned branch"}),
-            (7, [(1, 3), (4, 6), (5, 2), (5, 3), (7, 6)], {"narrowed to nothing", "pruned branch", "exhausted loop"}),
+            # the search below each first placement is a loop, so a dead end there is seen as
+            # _narrow returning None rather than as a call on a pruned branch
+            (7, [(1, 3), (4, 6), (5, 2), (5, 3), (7, 6)], {"narrowed to nothing", "exhausted loop"}),
         ],
         ids=["poset5", "poset7"],
     )
@@ -174,6 +176,47 @@ class TestEnumeration:
         autos = enumerate_relation_automorphisms(rel)
         assert autos == brute_relation_automorphisms(rel) and len(autos) == 2
         assert seen == branches
+
+    def test_a_dead_end_below_a_placement_backtracks(self, monkeypatch):
+        # minima 1, 3, 5 and maxima 8, 10, 12 form a 6-cycle, minima 2, 4, 6, 7 and maxima
+        # 9, 11, 13, 14 an 8-cycle; all minima share one signature, so a search may send a
+        # 6-cycle minimum into the 8-cycle, run out of images further down, return to an
+        # earlier element and find a leaf from its next image
+        pairs = [(i, i) for i in range(1, 15)]
+        for mins, maxs in (((1, 3, 5), (8, 10, 12)), ((2, 4, 6, 7), (9, 11, 13, 14))):
+            pairs += [(mins[t], maxs[u]) for t in range(len(mins)) for u in (t, (t + 1) % len(mins))]
+        rel = Relation.from_pairs(14, pairs)
+        narrow, first_leaf = automorphism._narrow, automorphism._first_leaf
+        placed, found_after_backtracking = [], []
+
+        def spy_narrow(domains, i, *rest):
+            placed.append(i)
+            return narrow(domains, i, *rest)
+
+        def spy_first_leaf(*args):
+            placed.clear()
+            out = first_leaf(*args)
+            if out is not None and any(b < a for a, b in zip(placed, placed[1:])):
+                found_after_backtracking.append(out)
+            return out
+
+        monkeypatch.setattr(automorphism, "_narrow", spy_narrow)
+        monkeypatch.setattr(automorphism, "_first_leaf", spy_first_leaf)
+        autos = enumerate_relation_automorphisms(rel, bound=rel.n)
+        assert found_after_backtracking
+        # the rotations and reflections of each cycle, 6 * 8 maps, each listed once
+        assert len({tau.image for tau in autos}) == len(autos) == 48
+        assert all(sorted(tau.image) == list(range(1, 15)) for tau in autos)
+        assert all(is_relation_automorphism(rel, tau) for tau in autos)
+
+    def test_a_search_deeper_than_the_recursion_limit(self):
+        # 1 and 2 incomparable, both below the chain 3 < 4 < ... < 1100: the search that
+        # sends 1 to 2 places every element in turn
+        n = 1100
+        pairs = [(i, i) for i in range(1, n + 1)] + [(a, b) for a in (1, 2) for b in range(3, n + 1)]
+        pairs += [(a, b) for a in range(3, n + 1) for b in range(a + 1, n + 1)]
+        autos = enumerate_relation_automorphisms(Relation.from_pairs(n, pairs), bound=n)
+        assert [tau.image for tau in autos] == [tuple(range(1, n + 1)), (2, 1, *range(3, n + 1))]
 
     @pytest.mark.parametrize(
         "rels",
@@ -298,6 +341,20 @@ class TestComposeAndApply:
         for (i, j) in crown6_block.sorted_pairs():
             unit = matrix_unit(crown6_block, RATIONALS, i, j)
             assert G.apply(unit).rows == images[(i, j)]
+
+    def test_operands_that_disagree_are_refused(self, vee3_block):
+        phi = identity_automorphism(vee3_block, RATIONALS)
+        other_relation = identity_automorphism(Relation.identity(3), RATIONALS)
+        for m, message in (
+            (identity_matrix(gf(5), vee3_block), "matrix over GF\\(5\\), map over Q"),
+            (identity_matrix(RATIONALS, Relation.identity(3)), "different relations"),
+        ):
+            with pytest.raises(Mismatch, match=message):
+                phi.apply(m)
+        for other in (other_relation, identity_automorphism(vee3_block, gf(5))):
+            with pytest.raises(Mismatch, match="same relation and field"):
+                compose(phi, other)
+            assert not equal_as_maps(phi, other)
 
     def test_compose_refuses_an_inner_image_off_the_pattern(self, vee3_block):
         images = identity_automorphism(vee3_block, RATIONALS).images()

@@ -32,6 +32,18 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(3, (1, 1, 2))
 
+    def test_images_must_be_ints(self):
+        # sorted() takes 1.0 and True for 1, so these used to pass and fail later in relabel
+        for image in ((1.0, 2, 3), (True, 2, 3), ("1", 2, 3)):
+            with pytest.raises(ValueError, match="not a bijection"):
+                Permutation(3, image)
+
+    def test_sizes_that_disagree_are_refused(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            compose_permutations(Permutation.identity_perm(3), Permutation.identity_perm(4))
+        with pytest.raises(ValueError, match="size mismatch"):
+            conjugate_relation(Relation.identity(3), Permutation.identity_perm(4))
+
     def test_inverse_and_composition(self):
         p = Permutation(4, (2, 3, 1, 4))
         assert compose_permutations(p, p.inverse()).is_identity()

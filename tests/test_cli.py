@@ -676,6 +676,11 @@ MALFORMED_SHAPES = {
     # a repeated pair used to be read silently, the last value winning
     "image-repeated": ("verify", "phi", {"images": [[1, 1, VEE3_ZERO], *_vee3_images()]}),
     "value-repeated": ("trivial", "fn", {"field": "Q", "values": [[1, 3, "2"], [1, 3, "3"]]}),
+    "images-fields-differ": ("verify", "phi", {"images": [[1, 1, VEE3_ZERO], [1, 3, {**VEE3_ZERO, "field": {"GF": 5}}]]}),
+    "images-missing-a-unit": ("verify", "phi", {"images": [[1, 1, VEE3_ZERO]]}),
+    "matrix-too-few-rows": ("apply", "matrix", {**VEE3_MATRIX, "entries": VEE3_MATRIX["entries"][:2]}),
+    "tau-number": ("verify", "phi", {"A": VEE3_MATRIX, "g": {"field": "Q", "values": []}, "tau": 5}),
+    "tau-not-a-bijection": ("verify", "phi", {"A": VEE3_MATRIX, "g": {"field": "Q", "values": []}, "tau": [1, 1, 3]}),
     "relation-n-float": ("validate", "relation", {"n": 3.5, "pairs": VEE3_PAIRS}),
     "relation-n-bool": ("validate", "relation", {"n": True, "pairs": [[1, 1]]}),
 }

@@ -79,6 +79,10 @@ class TestBruteCocycleRank:
     def test_identity_relation(self):
         assert brute_cocycle_rank(Relation.identity(4)) == 0
 
+    def test_bound(self):
+        with pytest.raises(BoundExceeded, match="brute-force bound"):
+            brute_cocycle_rank(Relation.identity(oracle.BRUTE_RANK_BOUND + 1))
+
 
 class TestQuasiorderEnumeration:
     def test_known_counts(self):

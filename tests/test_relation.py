@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,9 @@ from sma import (
 )
 
 from conftest import crown, grown
+
+# int()'s limit on the digits of a string it reads: 0 (none) before Python 3.11
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def brute_reachable(rel, src):
@@ -76,6 +80,16 @@ class TestValidate:
                 Relation.from_pairs(3, [(1, 1), (2, bad)])
             with pytest.raises(ValueError, match="out of range"):
                 Relation(3, frozenset({(bad, 1)}))
+
+    def test_a_pair_equal_to_an_int_pair_is_refused_before_the_set_merges_it(self):
+        # the set would keep (1, 1) alone, as (1, True) and (1, 1.0) compare equal to it
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match=r"pair \(1,%r\) out of range" % bad):
+                Relation.from_pairs(3, [(1, 1), (1, bad)])
+
+    def test_an_empty_ground_set_is_refused(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Relation(0, frozenset())
 
 
 class TestClosure:
@@ -284,6 +298,18 @@ class TestParsing:
     def test_bad_text_line_is_named(self):
         with pytest.raises(ParseError, match="line 2"):
             Relation.parse("3\n1 2 3\n")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() reads a string of any length")
+    def test_a_size_over_the_digit_limit_is_parse_error(self):
+        with pytest.raises(ParseError, match="ground-set size must be an integer"):
+            Relation.parse("9" * (DIGIT_LIMIT + 1) + "\n1 1\n")
+
+    def test_empty_or_out_of_range_text_is_parse_error(self):
+        for text in ("", " \n\n"):
+            with pytest.raises(ParseError, match="empty relation file"):
+                Relation.parse(text)
+        with pytest.raises(ParseError, match=r"pair \(1,4\) out of range 1..3"):
+            Relation.parse("3\n1 4\n")
 
     def test_integer_literal_over_the_digit_limit_is_parse_error(self):
         with pytest.raises(ParseError, match="invalid JSON"):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import grid_scale
+from conftest import crown, grid_scale
 
 from sma import (
     Mismatch,
@@ -79,6 +79,9 @@ class TestCheckTransitive:
             TransitiveFn.build(vee3_block, RATIONALS, {(3, 1): 2})
         with pytest.raises(Mismatch):  # not read as (1, 3)
             TransitiveFn.build(vee3_block, RATIONALS, {(1, 3.5): 2})
+        for key in ((1, 3.0), (True, 3)):  # equal to (1, 3), whose value they used to set
+            with pytest.raises(Mismatch, match="not in the relation"):
+                TransitiveFn.build(vee3_block, RATIONALS, {key: 2})
         with pytest.raises(ValueError):
             TransitiveFn.build(vee3_block, RATIONALS, {(1, 3): 0})
         with pytest.raises(ValueError):
@@ -113,6 +116,14 @@ class TestCheckTransitive:
             h = TransitiveFn.build(crown6_block, field, {(1, 4): field.element(2)})
             assert check_transitive(g.pointwise_mul(h)).ok
             assert check_transitive(g.pointwise_inv()).ok
+
+    def test_operands_that_disagree_are_refused(self, vee3_block, crown6_block):
+        g = TransitiveFn.ones(vee3_block, RATIONALS)
+        for other in (TransitiveFn.ones(vee3_block, gf(5)), TransitiveFn.ones(crown6_block, RATIONALS)):
+            with pytest.raises(Mismatch, match="same relation and field"):
+                g.pointwise_mul(other)
+        with pytest.raises(ValueError, match="nonzero"):
+            coboundary(vee3_block, RATIONALS, [1, 0, 2])
 
 
 class TestInducedAutomorphism:
@@ -184,6 +195,31 @@ class TestTrivialityWitness:
                         w = triviality_witness(g.pointwise_mul(power))
                         assert isinstance(w, ViolatingCycle)
                         assert cycle_product(g.pointwise_mul(power), w.vertices) == w.product
+
+
+    def test_cycle_closes_through_the_forest(self):
+        # i, j, then forest edges up to where the root paths of i and j meet and down
+        # to i again, no vertex but i visited twice.  In the 6-crown on 2..7 with 1 below
+        # 7 alone, the root 1 has the one child 7, so the paths meet below the root.
+        hung = Relation.from_pairs(
+            7, [(i, i) for i in range(1, 8)] + [(s, t) for s in (2, 3, 4) for t in (5, 6, 7) if t != s + 3] + [(1, 7)]
+        )
+        rels = [rel for n in range(1, 5) for rel in enumerate_quasiorders(n)] + [crown(2 * k) for k in (3, 4, 5)] + [hung]
+        cycles = 0
+        for rel in rels:
+            tree = rel.forest.tree_edges
+            for field in (RATIONALS, gf(5)):
+                g = random_transitive_fn(rel, field, random.Random(rel.n))
+                w = triviality_witness(g)
+                if isinstance(w, ScalingVector):
+                    continue
+                cycles += 1
+                walk = w.vertices
+                assert walk[0] == walk[-1] and len(set(walk)) == len(walk) - 1
+                assert (min(walk[:2]), max(walk[:2])) not in tree
+                assert all((min(e), max(e)) in tree for e in zip(walk[1:], walk[2:]))
+                assert cycle_product(g, walk) == w.product != 1
+        assert cycles
 
 
 class TestCocycleRank:
